@@ -101,22 +101,22 @@ def main() -> None:
         for loader in loaders:
             loader.set_epoch(epoch)
         for batches in zip(*loaders):
-            per_rank_grads = []
             losses = []
-            for batch in batches:
+            for rank, batch in enumerate(batches):
                 loss, grads = ddp.compute_local_gradients(batch, F.cross_entropy)
-                per_rank_grads.append(apply_gse(model, mask, grads=grads))
+                ddp.stage_rank_gradients(rank, apply_gse(model, mask, grads=grads))
                 losses.append(loss)
 
-            # Peek at what a comm hook sees: flat, nameless bucket gradients.
+            # Peek at what a comm hook sees: flat, nameless bucket gradients
+            # (the staged rows of the DDP gradient arena).
             bucket = ddp.buckets[0]
-            flats = [bucket.flatten(grads) for grads in per_rank_grads]
+            flats = list(ddp.arena.matrix(bucket.index))
             state = tracker.update_from_rank_gradients(bucket.index, flats)
 
-            # The traced variant returns each bucket's collective events (DDP
-            # drains the group's per-step log; whole-run totals live in the
-            # group's lifetime_* counters).
-            aggregated, bucket_events = ddp.synchronize_gradients_traced(per_rank_grads)
+            # Aggregation returns each bucket's collective events (DDP drains
+            # the group's per-step log; whole-run totals live in the group's
+            # lifetime_* counters).
+            aggregated, bucket_events = ddp.synchronize_staged()
             ddp.apply_aggregated_gradients(aggregated)
             optimizer.step()
             mask.apply_to_weights(model)

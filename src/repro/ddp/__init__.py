@@ -19,7 +19,7 @@ sparsity structure must be recovered from the flat gradient itself.
 
 from repro.ddp.arena import GradientArena
 from repro.ddp.bucket import Bucket, BucketSlice, GradBucket, build_buckets
-from repro.ddp.hooks import allreduce_hook, fp16_compress_hook, CompressorHook, HookState
+from repro.ddp.hooks import allreduce_hook, CompressorHook, HookState
 from repro.ddp.ddp import DistributedDataParallel, StepResult
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "GradientArena",
     "build_buckets",
     "allreduce_hook",
-    "fp16_compress_hook",
     "CompressorHook",
     "HookState",
     "DistributedDataParallel",

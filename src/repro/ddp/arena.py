@@ -100,18 +100,6 @@ class GradientArena:
                     )
                 np.copyto(target, grad.reshape(world, -1), casting="unsafe")
 
-    def write_all(self, per_rank_grads: Sequence[Dict[str, np.ndarray]]) -> None:
-        """Stage every rank's gradient dict (one dict per rank)."""
-        if len(per_rank_grads) != self.world_size:
-            raise ValueError("need one gradient dict per rank")
-        for rank, grads in enumerate(per_rank_grads):
-            self.write_rank(rank, grads)
-
-    def zero(self) -> None:
-        """Clear every bucket matrix (mainly for tests)."""
-        for matrix in self._matrices:
-            matrix.fill(0.0)
-
     def shares_memory_with(self, array: np.ndarray) -> bool:
         """Whether ``array`` aliases any arena matrix (aliasing guard)."""
         return any(np.shares_memory(array, matrix) for matrix in self._matrices)

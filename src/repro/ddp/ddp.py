@@ -29,7 +29,7 @@ figure in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,24 +42,48 @@ from repro.obs.tracer import TRACER
 from repro.ddp.hooks import CommHook, HookState, make_hook
 from repro.nn.batched import replica_views
 from repro.nn.module import Module
+from repro.pruning.gse import apply_gse
+from repro.pruning.mask import PruningMask
 from repro.tensorlib import Tensor
 from repro.tensorlib.dtypes import get_default_dtype
 
 
 @dataclass
 class StepResult:
-    """Outcome of one synchronous training step."""
+    """Outcome of one synchronisation: a training step or an averaging round.
 
-    loss: float
+    The totals are summed over the collective events in issue order, so they
+    are the same floats the process group's drained log would give.
+    """
+
     per_rank_loss: List[float]
     comm_time: float
     comm_bytes_per_worker: float
-    events: List[CollectiveEvent] = field(default_factory=list)
-    per_bucket_numel: List[int] = field(default_factory=list)
+    events: List[CollectiveEvent]
     #: Modeled seconds of each bucket's collective(s), in bucket order — the
     #: per-bucket costs the event-driven engine schedules against backward
     #: compute.
-    per_bucket_comm_time: List[float] = field(default_factory=list)
+    per_bucket_comm_time: List[float]
+
+    @classmethod
+    def from_bucket_events(
+        cls, bucket_events: List[List[CollectiveEvent]], per_rank_loss: Sequence[float] = ()
+    ) -> "StepResult":
+        events = [event for per_bucket in bucket_events for event in per_bucket]
+        return cls(
+            per_rank_loss=list(per_rank_loss),
+            comm_time=float(sum(e.time_seconds for e in events)),
+            comm_bytes_per_worker=float(sum(e.bytes_per_worker for e in events)),
+            events=events,
+            per_bucket_comm_time=[
+                float(sum(e.time_seconds for e in per_bucket)) for per_bucket in bucket_events
+            ],
+        )
+
+    @property
+    def loss(self) -> float:
+        """Mean loss over the ranks that ran this step."""
+        return float(np.mean(self.per_rank_loss))
 
 
 class DistributedDataParallel:
@@ -110,6 +134,11 @@ class DistributedDataParallel:
         #: synchronisation path.
         self._active_ranks: Optional[List[int]] = None
         self._active_group: Optional[ProcessGroup] = None
+        #: The last world-batched step's gradient stacks, held until the next
+        #: step has allocated its own.  Freed any earlier, their pages go back
+        #: to the OS and every step faults them in again (about 10x the minor
+        #: page faults on a 4-rank ResNet-18-mini cell).
+        self._previous_grads: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
     # Hook management
@@ -255,19 +284,27 @@ class DistributedDataParallel:
         per_rank_batches: Sequence[Tuple[np.ndarray, np.ndarray]],
         loss_fn: Callable[[Tensor, np.ndarray], Tensor],
         execution: str = "batched",
+        gse_mask: Optional[PruningMask] = None,
     ) -> StepResult:
         """One synchronous iteration: local backward on every rank, then sync.
 
         ``per_rank_batches`` must contain exactly ``world_size`` batches (one
         per rank, typically produced by a :class:`repro.data.DistributedSampler`).
+        Under a degraded membership (:meth:`set_active_ranks`) only the
+        active ranks run: a dead rank's batch is passed in (so data order
+        stays deterministic) but contributes no gradient or loss.
 
         ``execution`` selects how the per-rank passes run: ``"batched"`` (the
         default) evaluates all ranks in one world-batched forward/backward,
         ``"looped"`` keeps the historical per-rank Python loop.  Float64
         results are bit-identical either way; ragged per-rank batch shapes
-        fall back to the loop automatically.  Modeled time is unaffected —
-        the simulation clock measures the *simulated* cluster, not host
-        execution strategy.
+        and degraded memberships fall back to the loop automatically.
+        Modeled time is unaffected — the simulation clock measures the
+        *simulated* cluster, not host execution strategy.
+
+        ``gse_mask`` (gradient sparsity enforcement) masks every rank's
+        gradients before they are staged.  The aggregated gradients are
+        written back into ``param.grad``; the optimiser step is the caller's.
         """
         if len(per_rank_batches) != self.world_size:
             raise ValueError(
@@ -276,38 +313,35 @@ class DistributedDataParallel:
         if execution not in ("batched", "looped"):
             raise ValueError(f"unknown execution strategy {execution!r}")
 
-        if execution == "batched" and self._stackable(per_rank_batches):
-            images = np.stack([batch[0] for batch in per_rank_batches])
-            labels = np.stack([np.asarray(batch[1]) for batch in per_rank_batches])
-            per_rank_losses, grads = self.compute_batched_gradients((images, labels), loss_fn)
-            self.arena.write_world(grads)
-        else:
-            per_rank_losses = []
-            for rank, batch in enumerate(per_rank_batches):
-                # copy=False: gradients go straight from param.grad into the
-                # arena row, skipping one full-model copy per rank per step.
-                loss_value, grads = self.compute_local_gradients(batch, loss_fn, copy=False)
-                self.arena.write_rank(rank, grads)
-                per_rank_losses.append(loss_value)
+        with TRACER.span("train/backward", cat="train", iteration=self._hook_state.iteration):
+            if execution == "batched" and not self.is_degraded and self._stackable(per_rank_batches):
+                images = np.stack([batch[0] for batch in per_rank_batches])
+                labels = np.stack([np.asarray(batch[1]) for batch in per_rank_batches])
+                per_rank_losses, grads = self.compute_batched_gradients((images, labels), loss_fn)
+                if gse_mask is not None:
+                    # Masks broadcast over the leading world axis: each rank's
+                    # slice is multiplied exactly as on the looped path.
+                    grads = apply_gse(self.model, gse_mask, grads=grads)
+                self.stage_world_gradients(grads)
+                self._previous_grads = grads
+            else:
+                per_rank_losses = []
+                for rank in self.active_ranks:
+                    # copy=False: each rank's gradients are staged before the
+                    # next rank's backward pass overwrites param.grad.
+                    loss_value, grads = self.compute_local_gradients(
+                        per_rank_batches[rank], loss_fn, copy=False
+                    )
+                    if gse_mask is not None:
+                        grads = apply_gse(self.model, gse_mask, grads=grads)
+                    self.stage_rank_gradients(rank, grads)
+                    per_rank_losses.append(loss_value)
 
-        aggregated, bucket_events = self.synchronize_staged()
-        self._write_back(aggregated)
-
-        events = [event for per_bucket in bucket_events for event in per_bucket]
-        comm_time = float(sum(e.time_seconds for e in events))
-        comm_bytes = float(sum(e.bytes_per_worker for e in events))
+        with TRACER.span("train/sync", cat="train", iteration=self._hook_state.iteration):
+            aggregated, bucket_events = self.synchronize_staged()
+            self.apply_aggregated_gradients(aggregated)
         self._hook_state.iteration += 1
-        return StepResult(
-            loss=float(np.mean(per_rank_losses)),
-            per_rank_loss=per_rank_losses,
-            comm_time=comm_time,
-            comm_bytes_per_worker=comm_bytes,
-            events=events,
-            per_bucket_numel=[b.numel for b in self.buckets],
-            per_bucket_comm_time=[
-                float(sum(e.time_seconds for e in per_bucket)) for per_bucket in bucket_events
-            ],
-        )
+        return StepResult.from_bucket_events(bucket_events, per_rank_losses)
 
     # ------------------------------------------------------------------ #
     # Gradient synchronisation
@@ -320,34 +354,14 @@ class DistributedDataParallel:
         """Write ``(world, *shape)`` stacked gradients into all arena rows at once."""
         self.arena.write_world(grads_by_name)
 
-    def synchronize_gradients(
-        self,
-        per_rank_grads: Sequence[Dict[str, np.ndarray]],
-    ) -> Dict[str, np.ndarray]:
-        """Stage per-rank gradients into the arena, run the hook per bucket,
-        unpack the result."""
-        aggregated, _ = self.synchronize_gradients_traced(per_rank_grads)
-        return aggregated
-
-    def synchronize_gradients_traced(
-        self,
-        per_rank_grads: Sequence[Dict[str, np.ndarray]],
-    ) -> Tuple[Dict[str, np.ndarray], List[List[CollectiveEvent]]]:
-        """:meth:`synchronize_gradients`, also returning per-bucket events.
-
-        The second element groups the collective events by the bucket whose
-        hook issued them (one — or, for adaptive compressors, several — per
-        bucket), which is what the event-driven engine needs to schedule each
-        bucket's collective against backward compute.  The events are
-        *drained* from the process group's per-step log as they are grouped
-        (the group keeps running lifetime aggregates), so a long run's log
-        stays bounded no matter how the caller drives synchronisation.
-        """
-        self.arena.write_all(per_rank_grads)
-        return self.synchronize_staged()
-
     def synchronize_staged(self) -> Tuple[Dict[str, np.ndarray], List[List[CollectiveEvent]]]:
         """Aggregate the gradients currently staged in the arena.
+
+        Returns the aggregated gradients and the collective events grouped by
+        the bucket whose hook issued them (one — or, for adaptive
+        compressors, several — per bucket).  The events are *drained* from
+        the process group's per-step log (the group keeps running lifetime
+        aggregates), so a long run's log stays bounded.
 
         Under a degraded membership (:meth:`set_active_ranks`) each bucket's
         collective runs over the survivors only: the hook sees a
@@ -405,10 +419,7 @@ class DistributedDataParallel:
         return array
 
     def apply_aggregated_gradients(self, aggregated: Dict[str, np.ndarray]) -> None:
-        """Public entry point for writing externally aggregated gradients back."""
-        self._write_back(aggregated)
-
-    def _write_back(self, aggregated: Dict[str, np.ndarray]) -> None:
+        """Write aggregated gradients back into ``param.grad``."""
         dtype = self.dtype
         for name, grad in aggregated.items():
             param = self._param_map.get(name)

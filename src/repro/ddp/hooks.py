@@ -5,7 +5,7 @@ that receives a :class:`repro.ddp.bucket.GradBucket` (the flat per-rank
 gradients of one bucket) and returns the aggregated, *averaged* flat gradient
 that every rank should apply.  This mirrors
 ``torch.distributed.algorithms.ddp_comm_hooks``: the default hook is a plain
-all-reduce, an fp16 hook halves the wire size, and arbitrary compressors are
+all-reduce, and compressors (fp16, top-k, PacTrain, any codec pipeline) are
 plugged in through :class:`CompressorHook`.
 
 All communication must go through ``state.process_group`` so that the modeled
@@ -20,13 +20,8 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
-from repro.compression.codec import DensePayload, HalfPayload
+from repro.compression.codec import DensePayload
 from repro.ddp.bucket import GradBucket
-
-#: Wire sizes used by the cost model (re-exported for backwards compatibility;
-#: the payloads carry their own sizes).
-FP32_BYTES = 4
-FP16_BYTES = 2
 
 CommHook = Callable[["HookState", GradBucket], np.ndarray]
 
@@ -55,18 +50,6 @@ class HookState:
 def allreduce_hook(state: HookState, bucket: GradBucket) -> np.ndarray:
     """Native fp32 ring all-reduce — the paper's "all-reduce" baseline."""
     payloads = [DensePayload(buf) for buf in bucket.buffers]
-    reduced = state.process_group.all_reduce(payloads, average=True)
-    return reduced.reduce_values()
-
-
-def fp16_compress_hook(state: HookState, bucket: GradBucket) -> np.ndarray:
-    """Half-precision all-reduce — the paper's "fp16" baseline.
-
-    Values are cast to fp16 before aggregation (introducing the corresponding
-    rounding error); the collective layer charges two bytes per element from
-    the :class:`HalfPayload` wire size.
-    """
-    payloads = [HalfPayload(buf.astype(np.float16)) for buf in bucket.buffers]
     reduced = state.process_group.all_reduce(payloads, average=True)
     return reduced.reduce_values()
 

@@ -18,15 +18,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.comm.process_group import ProcessGroup
 from repro.compression.base import FP32_BYTES, CodecCompressor, Compressor
+from repro.compression.codec import EncodeContext
 from repro.compression.registry import build_compressor
 from repro.data import DataLoader, DistributedSampler, make_dataset, train_test_split
-from repro.ddp import DistributedDataParallel
+from repro.ddp import DistributedDataParallel, StepResult
 from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES
 from repro.nn import SGD
 from repro.nn.models import build_model
 from repro.nn.module import Module
-from repro.obs.tracer import TRACER
+from repro.obs.instrument import emit_ps_update, emit_simulated_iteration
+from repro.obs.tracer import SIM_SCHEDULE_TID, TRACER
 from repro.pruning import PruningMask, apply_gse, grasp_prune, magnitude_prune
 from repro.simulation.cluster import ClusterSpec
 from repro.simulation.engine import EventHeap, LinkChannel, SimEvent, SimulationEngine
@@ -454,60 +457,118 @@ class _WeightSparsityCache:
 
 
 # --------------------------------------------------------------------------- #
+# Regime support
+# --------------------------------------------------------------------------- #
+def check_regime_support(
+    method: MethodSpec,
+    cluster: ClusterSpec,
+    *,
+    pruned: bool = False,
+    checkpointing: bool = False,
+) -> None:
+    """Reject a regime combination the driver cannot run, before anything runs.
+
+    :func:`run_experiment` calls this before it builds the dataset, and
+    :func:`train_distributed` calls it again (``pruned``: a pruning mask is
+    passed; ``checkpointing``: a checkpoint is captured or restored).  Every
+    rejection is a :class:`ValueError` that names the schedule.
+    """
+    schedule = method.schedule()
+    spec = schedule.spec()
+    if checkpointing and not schedule.is_synchronous:
+        raise ValueError(
+            "checkpoint/restore is only supported on the synchronous path "
+            f"(sync or localsgd:1 schedules), got {spec!r}"
+        )
+    ps = schedule.regime == "ps"
+    if ps and not cluster.fault_plan().is_empty:
+        # Fault events apply at collective boundaries; workers of the async
+        # parameter server are mid-flight at arbitrary event times.
+        raise ValueError(
+            f"{spec!r}: fault plans are not supported in async parameter-server mode: "
+            "the ps regime has no collective boundary at which membership changes "
+            "could apply; use the 'sync' or 'localsgd:H' regimes for fault studies"
+        )
+    if ps and (pruned or method.gse):
+        raise ValueError(
+            f"{spec!r}: async parameter-server mode does not support pruning/GSE "
+            "methods: the mask lifecycle assumes a synchronous view of the parameters"
+        )
+    if ps and method.compressor.startswith("pactrain"):
+        raise ValueError(
+            f"{spec!r}: async parameter-server mode does not support the PacTrain "
+            "compressor: its mask-compact stage needs the Mask Tracker state that "
+            "only synchronous collectives build"
+        )
+    delta = schedule.regime == "localsgd" and schedule.delta and not schedule.is_synchronous
+    if ps or delta:
+        compressor = method.build_compressor()
+        if not isinstance(compressor, CodecCompressor):
+            need = (
+                "async parameter-server mode needs a codec-pipeline compressor "
+                "(its pushes are encoded per worker)"
+                if ps
+                else "localsgd delta mode compresses model deltas through a codec pipeline"
+            )
+            raise ValueError(
+                f"{spec!r}: {need}, got {type(compressor).__name__} for {method.compressor!r}"
+            )
+
+
+# --------------------------------------------------------------------------- #
 # Core training loop
 # --------------------------------------------------------------------------- #
 class _FaultState:
-    """Per-run fault-plan interpreter shared by the sync and local-SGD loops.
+    """Per-run fault-plan interpreter of the iteration loop.
 
     An empty plan keeps :attr:`faulty` False and :meth:`advance` is a no-op
-    returning ``(None, None)``, so healthy runs take exactly the historical
-    code path (golden traces stay bit-identical).
+    returning ``None``, so healthy runs take exactly the historical code path
+    (golden traces stay bit-identical).
     """
 
-    def __init__(
-        self,
-        plan,
-        cluster: ClusterSpec,
-        world_size: int,
-        ddp: DistributedDataParallel,
-        compressor: Compressor,
-        timeline: TrainingTimeline,
-        model_wire_bytes: float,
-    ) -> None:
-        self.plan = plan
-        self.cluster = cluster
-        self.world_size = world_size
-        self.ddp = ddp
-        self.compressor = compressor
-        self.timeline = timeline
-        self.model_wire_bytes = model_wire_bytes
-        self.faulty = not plan.is_empty
+    def __init__(self, run: "_TrainingRun") -> None:
+        self.run = run
+        self.plan = run.cluster.fault_plan()
+        self.faulty = not self.plan.is_empty
         self.cursor = -1.0
-        self.active = list(range(world_size))
+        self.active = list(range(run.world_size))
         self.link = 1.0
 
-    def advance(self, now: float, global_iteration: int, on_rejoin=None):
+    def _install(self, active: List[int], link: float) -> None:
+        """Point DDP's synchronisation at ``active`` ranks over a ``link`` network."""
+        run = self.run
+        if len(active) == run.world_size and link == 1.0:
+            run.ddp.set_active_ranks(None)
+        else:
+            degraded_model = run.cluster.cost_model_for(len(active), link)
+            run.ddp.set_active_ranks(active, ProcessGroup(len(active), degraded_model))
+        self.active, self.link = active, link
+
+    def restore(self, checkpoint: TrainingCheckpoint) -> None:
+        """Resume onto a checkpoint's membership (re-applied, not replayed)."""
+        self.cursor = checkpoint.fault_cursor
+        self._install(list(checkpoint.active_ranks), checkpoint.link_factor)
+
+    def advance(self, now: float, global_iteration: int, on_rejoin=None) -> Optional[List[float]]:
         """Interpret the plan up to simulated time ``now``.
 
         Events scheduled up to "now" have fired, so the next iteration runs
         over the surviving membership with the current link factor.  Returns
-        ``(active_set, churn)`` for the iteration — ``(None, None)`` when the
-        plan is empty.  ``on_rejoin`` (if given) is called with the list of
-        ranks that re-joined, after their broadcast cost has been charged —
-        the local-SGD loop uses it to refresh the returning replica.
+        the iteration's per-rank churn multipliers — ``None`` when the plan is
+        empty.  ``on_rejoin`` (if given) is called with the list of ranks that
+        re-joined, after their broadcast cost has been charged — local SGD
+        uses it to refresh the returning replica.
         """
         if not self.faulty:
-            return None, None
-        plan = self.plan
+            return None
+        run, plan = self.run, self.plan
         fired = plan.events_between(self.cursor, now)
         self.cursor = now
-        active = plan.active_ranks(self.world_size, now)
+        active = plan.active_ranks(run.world_size, now)
         link = plan.link_factor(now)
         if fired:
-            self.timeline.fault_events += len(fired)
+            run.timeline.fault_events += len(fired)
             if TRACER.enabled:
-                from repro.obs.tracer import SIM_SCHEDULE_TID  # noqa: PLC0415
-
                 for event in fired:
                     TRACER.instant(
                         f"fault/{event.kind}", cat="fault", clock="sim",
@@ -516,16 +577,8 @@ class _FaultState:
                     )
         if active != self.active or link != self.link:
             if active != self.active:
-                self.compressor.resize_world(self.active, active, plan.residual_policy)
-            if len(active) == self.world_size and link == 1.0:
-                self.ddp.set_active_ranks(None)
-            else:
-                from repro.comm.process_group import ProcessGroup  # noqa: PLC0415
-
-                degraded_model = self.cluster.cost_model_for(len(active), link)
-                self.ddp.set_active_ranks(
-                    active, ProcessGroup(len(active), degraded_model)
-                )
+                run.compressor.resize_world(self.active, active, plan.residual_policy)
+            self._install(active, link)
             # A re-joining rank pulls the current model state before it can
             # participate: charge one broadcast over the new membership per
             # re-join and advance the simulated clock.
@@ -533,23 +586,551 @@ class _FaultState:
             for event in fired:
                 if event.kind != "rejoin" or event.rank not in active:
                     continue
-                cost = self.cluster.cost_model_for(len(active), link).broadcast_time(
-                    self.model_wire_bytes
+                cost = run.cluster.cost_model_for(len(active), link).broadcast_time(
+                    run.model_wire_bytes
                 )
-                self.timeline.add_rejoin_cost(cost)
+                run.timeline.add_rejoin_cost(cost)
                 rejoined.append(event.rank)
                 if TRACER.enabled:
-                    from repro.obs.tracer import SIM_SCHEDULE_TID  # noqa: PLC0415
-
                     TRACER.sim_span(
                         "fault/rejoin-sync", "fault", ts=now, dur=cost,
                         tid=SIM_SCHEDULE_TID, rank=event.rank,
-                        bytes=self.model_wire_bytes,
+                        bytes=run.model_wire_bytes,
                     )
             if rejoined and on_rejoin is not None:
                 on_rejoin(rejoined)
-            self.active, self.link = active, link
-        return set(self.active), plan.churn_multipliers(self.world_size, global_iteration)
+        return plan.churn_multipliers(run.world_size, global_iteration)
+
+    def note_iteration(self, sim_base: float, wall_time: float) -> None:
+        """Charge one iteration's dead ranks as downtime."""
+        dead = self.run.world_size - len(self.active)
+        self.run.timeline.note_degraded_iteration(dead, wall_time)
+        if TRACER.enabled and dead > 0:
+            TRACER.sim_span(
+                "fault/degraded-world", "fault", ts=sim_base,
+                dur=wall_time, tid=SIM_SCHEDULE_TID,
+                alive=len(self.active), dead=dead,
+            )
+
+
+@dataclass
+class _TrainingRun:
+    """The state every loop of one training run shares.
+
+    Built from :func:`train_distributed`'s arguments (same order) plus the
+    compressor.  :meth:`iterate` is the one epoch/iteration driver of the
+    synchronous and local-SGD regimes; a :class:`_Synchronous` or
+    :class:`_LocalSGD` strategy decides what each iteration runs.
+    :meth:`async_ps` is the parameter server's event loop.  Both close every
+    epoch with :meth:`end_epoch`.
+    """
+
+    model: Module
+    train_dataset: object
+    test_loader: DataLoader
+    method: MethodSpec
+    cluster: ClusterSpec
+    epochs: int
+    batch_size: int
+    lr: float
+    momentum: float
+    weight_decay: float
+    mask: Optional[PruningMask]
+    target_accuracy: Optional[float]
+    stop_at_target: bool
+    max_iterations_per_epoch: Optional[int]
+    seed: int
+    bucket_cap_bytes: int
+    sparsity_cache: Optional[_WeightSparsityCache]
+    compressor: Compressor
+
+    def __post_init__(self) -> None:
+        model, cluster = self.model, self.cluster
+        self.world_size = world_size = cluster.world_size
+        self.reached_target = False
+        self.ddp = DistributedDataParallel(
+            model, world_size, cluster.process_group(), self.bucket_cap_bytes, self.compressor
+        )
+        self.optimizer = SGD(
+            model.parameters(), lr=self.lr, momentum=self.momentum, weight_decay=self.weight_decay
+        )
+        self.engine = SimulationEngine(overlap=cluster.overlap)
+        self.timeline = TrainingTimeline()
+        if TRACER.enabled:
+            # One simulated-cluster track group per training run, so sweeps
+            # never overlay two schedules on the same Perfetto tracks.
+            TRACER.new_sim_process(f"{self.method.name} world={world_size}")
+        #: The parameters in the fp32 wire format: what a re-joining rank and
+        #: a parameter-server pull transfer.
+        self.model_wire_bytes = float(sum(p.size for p in model.parameters()) * 4)
+
+        input_shape = self.train_dataset.input_shape
+        weight_sparsity = (self.sparsity_cache or _WeightSparsityCache()).value(model, self.mask)
+        self.per_rank_compute = cluster.per_rank_iteration_times(
+            model, input_shape, self.batch_size, weight_sparsity=weight_sparsity
+        )
+        self.bucket_fractions = cluster.compute_model().bucket_completion_fractions(
+            model, input_shape, self.ddp.buckets
+        )
+        # One loader per rank over disjoint shards.
+        self.rank_loaders = [
+            DataLoader(
+                self.train_dataset,
+                batch_size=self.batch_size,
+                sampler=DistributedSampler(len(self.train_dataset), world_size, rank, seed=self.seed),
+            )
+            for rank in range(world_size)
+        ]
+
+    def end_epoch(self, epoch: int, losses: List[float]) -> bool:
+        """Evaluate and snapshot one epoch; True when the run should stop."""
+        accuracy = evaluate_accuracy(self.model, self.test_loader)
+        mean_loss = float(np.mean(losses)) if losses else float("nan")
+        self.timeline.snapshot_epoch(epoch, mean_loss, accuracy)
+        if self.target_accuracy is not None and accuracy >= self.target_accuracy:
+            self.reached_target = True
+            return self.stop_at_target
+        return False
+
+    def iterate(
+        self,
+        strategy,
+        checkpoint_at: Optional[int] = None,
+        checkpoint_box: Optional[List[TrainingCheckpoint]] = None,
+        resume_from: Optional[TrainingCheckpoint] = None,
+    ) -> None:
+        """The epoch/iteration loop of the synchronous and local-SGD regimes.
+
+        Each iteration advances the fault plan, runs the strategy's step
+        (backward and, when it synchronises, the collective), schedules the
+        churn-scaled compute on the engine and accounts the result on the
+        timeline.  Checkpoint arguments are as in :func:`train_distributed`.
+        """
+        ddp, engine = self.ddp, self.engine
+        faults = _FaultState(self)
+        global_iteration = start_epoch = skip = 0
+        epoch_losses: List[float] = []
+        if resume_from is not None:
+            ck = resume_from
+            ddp.restore_parameters(ck.params)
+            self.optimizer.load_state_arrays(ck.velocities)
+            self.timeline = copy.deepcopy(ck.timeline)
+            faults.restore(ck)
+            ddp.hook_state.iteration = ck.hook_iteration
+            global_iteration, self.reached_target = ck.global_iteration, ck.reached_target
+            start_epoch, skip = ck.epoch, ck.iteration_in_epoch
+            epoch_losses = list(ck.epoch_losses)
+            # The modeled per-rank times were computed from the *initial*
+            # weights (weight sparsity drifts during training on unmasked
+            # models); replay the captured values so resumed timing is
+            # bit-identical.
+            self.per_rank_compute = list(ck.per_rank_compute)
+            self.bucket_fractions = list(ck.bucket_fractions)
+        capture = checkpoint_at is not None and checkpoint_box is not None
+        for epoch in range(start_epoch, self.epochs):
+            for loader in self.rank_loaders:
+                loader.set_epoch(epoch)
+            iterators = [iter(loader) for loader in self.rank_loaders]
+            # Fast-forward the deterministic samplers to a resumed position;
+            # the consumed batches were already trained on.
+            for _ in range(skip):
+                for it in iterators:
+                    next(it)
+            iteration, skip = skip, 0
+            while self.max_iterations_per_epoch is None or iteration < self.max_iterations_per_epoch:
+                if capture and global_iteration == checkpoint_at:
+                    checkpoint_box.append(
+                        TrainingCheckpoint(
+                            params=ddp.snapshot_parameters(),
+                            velocities=self.optimizer.state_arrays(),
+                            compressor=copy.deepcopy(self.compressor),
+                            timeline=copy.deepcopy(self.timeline),
+                            epoch=epoch,
+                            iteration_in_epoch=iteration,
+                            global_iteration=global_iteration,
+                            epoch_losses=list(epoch_losses),
+                            fault_cursor=faults.cursor,
+                            active_ranks=list(faults.active),
+                            link_factor=faults.link,
+                            reached_target=self.reached_target,
+                            hook_iteration=ddp.hook_state.iteration,
+                            per_rank_compute=list(self.per_rank_compute),
+                            bucket_fractions=list(self.bucket_fractions),
+                        )
+                    )
+                    capture = False
+                try:
+                    batches = [next(it) for it in iterators]
+                except StopIteration:
+                    break
+
+                churn = faults.advance(self.timeline.total_time, global_iteration, strategy.on_rejoin)
+                loss, comm = strategy.step(batches, epoch, iteration)
+
+                compute = self.per_rank_compute
+                if churn is not None:
+                    # Survivors only, each scaled by this iteration's churn
+                    # draw (counter-based, so the draw depends only on the
+                    # iteration index — never on how the run got here).
+                    compute = [compute[rank] * churn[rank] for rank in faults.active]
+                timeline = self.timeline
+                sim_base = timeline.total_time
+                if comm is None:
+                    trace = engine.run_local_iteration(compute)
+                    timeline.add_iteration(trace.compute_span, 0.0, 0.0, trace=trace)
+                else:
+                    trace = engine.run_iteration(
+                        compute, self.bucket_fractions, comm.per_bucket_comm_time
+                    )
+                    timeline.add_iteration(
+                        trace.compute_span, comm.comm_time, comm.comm_bytes_per_worker, trace=trace
+                    )
+                if faults.faulty:
+                    faults.note_iteration(sim_base, trace.wall_time)
+                if TRACER.enabled:
+                    # Simulated-clock tracks: per-rank backward segments, the
+                    # link channel's per-bucket reduce windows, the iteration
+                    # critical path.  The increment of the timeline total is
+                    # exactly trace.wall_time, so iterations tile the sim axis.
+                    emit_simulated_iteration(
+                        TRACER, sim_base, trace,
+                        [] if comm is None else self.bucket_fractions,
+                        timeline.iterations - 1,
+                    )
+                    TRACER.sim_now = timeline.total_time
+                global_iteration += 1
+                epoch_losses.append(loss)
+                iteration += 1
+
+            strategy.end_epoch(epoch)
+            if self.end_epoch(epoch, epoch_losses):
+                break
+            epoch_losses = []
+
+    def async_ps(self, schedule: SyncSchedule) -> None:
+        """Stale-gradient asynchronous parameter server on the event engine.
+
+        A logical PS rank holds the parameters; workers cycle pull → compute →
+        push with no barrier, serialised FCFS on the server's access link
+        (:class:`~repro.simulation.engine.LinkChannel`).  Gradients are computed
+        against the parameters as of the worker's pull and applied whenever the
+        push lands — the measured staleness (server updates applied in between)
+        is recorded per update.  ``schedule.staleness`` bounds the progress skew:
+        a worker may start update ``k`` only while ``k - min_progress <= S``
+        (stale synchronous parallel); blocked workers re-enter in rank order as
+        laggards apply.
+
+        Each worker encodes its pushes through its own codec-pipeline instance
+        (independent stage state, per-worker error-feedback residuals); pulls
+        carry the dense fp32 parameters.  Busy compute/comm time accumulates per
+        update, and the timeline total is reconciled to the event clock at every
+        epoch snapshot (see ``TrainingTimeline.reconcile_async_total``).
+        """
+        staleness_bound = schedule.staleness
+        world_size, epochs = self.world_size, self.epochs
+        ddp, compressor, timeline = self.ddp, self.compressor, self.timeline
+        rank_loaders = self.rank_loaders
+        cost_model = self.cluster.cost_model_for(world_size)
+        pull_seconds = cost_model.p2p_time(self.model_wire_bytes)
+
+        iters_per_epoch = min(len(loader) for loader in rank_loaders)
+        if self.max_iterations_per_epoch is not None:
+            iters_per_epoch = min(iters_per_epoch, self.max_iterations_per_epoch)
+        total_per_worker = epochs * iters_per_epoch
+
+        # Per-worker codec pipelines: stage state (low-rank warm starts, stage
+        # seeds) and error-feedback residuals must not be shared across workers
+        # pushing at different versions.  Worker 0 reuses the run's instance,
+        # which doubles as the run's stats carrier.
+        worker_codecs: List[CodecCompressor] = [compressor] + [
+            self.method.build_compressor(seed=self.seed) for _ in range(1, world_size)
+        ]
+        driver_ef = compressor.error_feedback
+        buckets = ddp.buckets
+        residuals: List[List[Optional[np.ndarray]]] = [
+            [None] * len(buckets) for _ in range(world_size)
+        ]
+
+        heap = EventHeap()
+        channel = LinkChannel()
+        completed = [0] * world_size  # applied updates per worker
+        version_at_pull = [0] * world_size
+        pending: List[Optional[Dict]] = [None] * world_size
+        blocked: set = set()
+        applies = 0
+        epoch_loss_buckets: List[List[float]] = [[] for _ in range(epochs)]
+        worker_epoch = [-1] * world_size
+        worker_iters: List[Optional[object]] = [None] * world_size
+        snapshots_done = 0
+        stop = False
+
+        def batch_for(rank: int, update_index: int):
+            epoch = update_index // iters_per_epoch
+            if worker_epoch[rank] != epoch:
+                rank_loaders[rank].set_epoch(epoch)
+                worker_iters[rank] = iter(rank_loaders[rank])
+                worker_epoch[rank] = epoch
+            return next(worker_iters[rank])
+
+        def admissible(rank: int) -> bool:
+            if staleness_bound is None:
+                return True
+            return completed[rank] - min(completed) <= staleness_bound
+
+        def snapshot_finished_epochs(now: float) -> None:
+            # Every epoch all workers have completed (before the first event
+            # that is every epoch of a run with no iterations).
+            nonlocal snapshots_done, stop
+            while (
+                not stop
+                and snapshots_done < epochs
+                and min(completed) >= (snapshots_done + 1) * iters_per_epoch
+            ):
+                timeline.reconcile_async_total(now)
+                stop = self.end_epoch(snapshots_done, epoch_loss_buckets[snapshots_done])
+                snapshots_done += 1  # on a stop, in-flight work is discarded
+
+        snapshot_finished_epochs(0.0)
+        if total_per_worker:
+            for rank in range(world_size):
+                heap.push(SimEvent(time=0.0, kind="ps-request", rank=rank))
+
+        while heap and not stop:
+            event = heap.pop()
+            now = event.time
+            rank = event.rank
+            if event.kind == "ps-request":
+                if admissible(rank):
+                    start, end = channel.acquire(now, pull_seconds)
+                    pending[rank] = {"pull": (start, end)}
+                    heap.push(SimEvent(time=end, kind="ps-pulled", rank=rank))
+                else:
+                    blocked.add(rank)
+            elif event.kind == "ps-pulled":
+                # Events are processed in time order, so every apply scheduled
+                # before this pull's completion has already landed — the shared
+                # model holds exactly the parameters this worker pulls.
+                state = pending[rank]
+                version_at_pull[rank] = applies
+                update_index = completed[rank]
+                batch = batch_for(rank, update_index)
+                loss_value, grads = ddp.compute_local_gradients(
+                    batch, F.cross_entropy, copy=False
+                )
+                codec = worker_codecs[rank]
+                decoded: List[np.ndarray] = []
+                payload_bytes = 0.0
+                for bucket in buckets:
+                    flat = bucket.flatten(grads)
+                    res = residuals[rank][bucket.index]
+                    if driver_ef:
+                        if res is None:
+                            res = residuals[rank][bucket.index] = np.zeros_like(flat)
+                        np.add(flat, res, out=flat)  # flatten returned a fresh buffer
+                    context = EncodeContext(
+                        world_size=1,
+                        bucket_index=bucket.index,
+                        iteration=update_index,
+                    )
+                    payload = codec.pipeline.encode_all([flat], context)[0]
+                    out = codec.pipeline.decode(payload)
+                    if driver_ef:
+                        residuals[rank][bucket.index] = flat - out
+                    payload_bytes += float(payload.nbytes)
+                    decoded.append(out)
+                    # Mirror CodecCompressor._record on the shared stats carrier:
+                    # one aggregation of this bucket, fp32 raw bytes, wire bytes.
+                    compressor.stats.iterations += 1
+                    compressor.stats.raw_bytes += bucket.numel * FP32_BYTES
+                    compressor.stats.wire_bytes += float(payload.nbytes)
+                compute_seconds = self.per_rank_compute[rank]
+                state.update(
+                    decoded=decoded,
+                    payload_bytes=payload_bytes,
+                    loss=loss_value,
+                    compute=compute_seconds,
+                    epoch=update_index // iters_per_epoch,
+                )
+                heap.push(SimEvent(time=now + compute_seconds, kind="ps-push", rank=rank))
+            elif event.kind == "ps-push":
+                state = pending[rank]
+                push_seconds = cost_model.p2p_time(state["payload_bytes"])
+                start, end = channel.acquire(now, push_seconds)
+                state["push"] = (start, end)
+                state["push_seconds"] = push_seconds
+                heap.push(SimEvent(time=end, kind="ps-apply", rank=rank))
+            elif event.kind == "ps-apply":
+                state = pending[rank]
+                aggregated: Dict[str, np.ndarray] = {}
+                for bucket, flat in zip(buckets, state["decoded"]):
+                    aggregated.update(bucket.unflatten(flat))
+                ddp.apply_aggregated_gradients(aggregated)
+                self.optimizer.step()
+                staleness = applies - version_at_pull[rank]
+                applies += 1
+                completed[rank] += 1
+                timeline.record_staleness(staleness)
+                timeline.add_iteration(
+                    state["compute"],
+                    pull_seconds + state["push_seconds"],
+                    (self.model_wire_bytes + state["payload_bytes"]) / world_size,
+                )
+                epoch_loss_buckets[state["epoch"]].append(state["loss"])
+                if TRACER.enabled:
+                    emit_ps_update(
+                        TRACER,
+                        rank=rank,
+                        pull=state["pull"],
+                        compute_seconds=state["compute"],
+                        push=state["push"],
+                        staleness=staleness,
+                        update_index=completed[rank] - 1,
+                        payload_bytes=state["payload_bytes"],
+                        pull_bytes=self.model_wire_bytes,
+                    )
+                    TRACER.sim_now = now
+                ddp.hook_state.iteration += 1
+                snapshot_finished_epochs(now)
+                if not stop and completed[rank] < total_per_worker:
+                    heap.push(SimEvent(time=now, kind="ps-request", rank=rank))
+                # This apply raised min-progress (or freed the channel): re-admit
+                # blocked workers in rank order for determinism.
+                for other in sorted(blocked):
+                    if admissible(other):
+                        blocked.discard(other)
+                        heap.push(SimEvent(time=now, kind="ps-request", rank=other))
+            else:  # pragma: no cover - no other kinds are scheduled
+                raise RuntimeError(f"unexpected event kind {event.kind!r}")
+
+
+class _Synchronous:
+    """Synchronous data-parallel: every iteration ends in a gradient collective."""
+
+    on_rejoin = None
+
+    def __init__(self, run: _TrainingRun, execution: str) -> None:
+        self.run = run
+        self.execution = execution
+        self.gse_mask = run.mask if run.method.gse else None
+
+    def step(self, batches, epoch: int, iteration: int) -> Tuple[float, Optional[StepResult]]:
+        run = self.run
+        result = run.ddp.train_step(batches, F.cross_entropy, self.execution, self.gse_mask)
+        with TRACER.span("train/apply", cat="train", epoch=epoch, iteration=iteration):
+            run.optimizer.step()
+            if run.mask is not None:
+                # Guard against regrowth through momentum / weight decay.
+                run.mask.apply_to_weights(run.model)
+        return result.loss, result
+
+    def end_epoch(self, epoch: int) -> None:
+        """Nothing is left to synchronise at an epoch boundary."""
+
+
+class _LocalSGD:
+    """Local SGD: H local optimiser steps per rank between averaging rounds.
+
+    Each rank trains on its own diverged parameter/velocity replica
+    (:class:`~repro.simulation.regimes.ReplicaSet`); every ``schedule.period``
+    iterations the replicas are reconciled through one collective.  In delta
+    mode each rank stages its *model delta* (parameters minus the last synced
+    anchor) through the method's codec pipeline — error feedback then carries
+    the delta mass the encoding dropped, and fault-driven membership changes
+    remap residuals through the same elastic seam as gradients.  Dense mode
+    all-reduces the raw fp32 parameters (the method's compressor is not
+    consulted at the boundary — FedAvg-style exact averaging).
+    """
+
+    def __init__(self, run: _TrainingRun, schedule: SyncSchedule) -> None:
+        self.run = run
+        self.schedule = schedule
+        self.replicas = ReplicaSet(
+            run.model, run.world_size, lr=run.lr, momentum=run.momentum, weight_decay=run.weight_decay
+        )
+        self.anchor = run.ddp.snapshot_parameters()
+        self.window = 0  # local steps since the last averaging round
+
+    def on_rejoin(self, ranks: List[int]) -> None:
+        # A returning rank starts from the last synced state with fresh
+        # momentum (its broadcast cost was already charged by the fault
+        # interpreter).
+        for rank in ranks:
+            self.replicas.assign(rank, self.anchor)
+            self.replicas.reset_velocity(rank)
+
+    def step(self, batches, epoch: int, iteration: int) -> Tuple[float, Optional[StepResult]]:
+        run, replicas = self.run, self.replicas
+        ddp, model, mask = run.ddp, run.model, run.mask
+        per_rank_losses: List[float] = []
+        with TRACER.span("train/backward", cat="train", epoch=epoch, iteration=iteration):
+            # A dead rank's batch is consumed (data order stays
+            # deterministic) but it takes no step.
+            for rank in ddp.active_ranks:
+                replicas.load(rank)
+                loss_value, grads = ddp.compute_local_gradients(
+                    batches[rank], F.cross_entropy, copy=False
+                )
+                if run.method.gse and mask is not None:
+                    ddp.apply_aggregated_gradients(apply_gse(model, mask, grads=grads))
+                replicas.step(rank)
+                if mask is not None:
+                    mask.apply_to_weights(model)
+                replicas.save(rank)
+                per_rank_losses.append(loss_value)
+
+        self.window += 1
+        comm = None
+        if self.window >= self.schedule.period:
+            with TRACER.span(
+                "regime/localsgd-sync", cat="regime",
+                epoch=epoch, iteration=iteration, window=self.window,
+            ):
+                comm = self._average()
+            run.timeline.sync_rounds += 1
+            self.window = 0
+        else:
+            run.timeline.local_steps += 1
+        ddp.hook_state.iteration += 1
+        return float(np.mean(per_rank_losses)), comm
+
+    def end_epoch(self, epoch: int) -> None:
+        """Flush a partially filled window so evaluation (and the final model)
+        sees the averaged parameters, not one rank's replica."""
+        if self.window == 0:
+            return
+        with TRACER.span("regime/localsgd-flush", cat="regime", epoch=epoch, window=self.window):
+            comm = self._average()
+        self.run.timeline.add_sync_round(comm.comm_time, comm.comm_bytes_per_worker)
+        self.window = 0
+
+    def _average(self) -> StepResult:
+        """Average the active replicas through one collective."""
+        run, replicas, anchor = self.run, self.replicas, self.anchor
+        ddp = run.ddp
+        active = ddp.active_ranks
+        for rank in active:
+            values = replicas.delta(rank, anchor) if self.schedule.delta else replicas.params_dict(rank)
+            ddp.stage_rank_gradients(rank, values)
+        if self.schedule.delta:
+            aggregated, bucket_events = ddp.synchronize_staged()
+            new_params = {name: anchor[name] + aggregated[name] for name in anchor}
+        else:
+            # Dense parameter averaging: swap in the native all-reduce hook
+            # for this collective so the raw fp32 parameters go on the wire.
+            ddp.register_comm_hook(None)
+            try:
+                aggregated, bucket_events = ddp.synchronize_staged()
+            finally:
+                ddp.register_comm_hook(run.compressor)
+            new_params = aggregated
+        for name, param in run.model.named_parameters():
+            param.data = new_params[name]
+        if run.mask is not None:
+            run.mask.apply_to_weights(run.model)
+        self.anchor = ddp.snapshot_parameters()
+        for rank in active:
+            replicas.assign(rank, self.anchor)
+        return StepResult.from_bucket_events(bucket_events)
 
 
 def train_distributed(
@@ -577,24 +1158,21 @@ def train_distributed(
 ) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
     """Run distributed training with modeled time under the method's regime.
 
-    The method's ``sync_schedule`` selects the training loop: synchronous
-    data-parallel (the default — every iteration is scheduled by the
-    event-driven :class:`~repro.simulation.engine.SimulationEngine`, and with
-    ``cluster.overlap`` off the schedule degenerates to the seed
-    ``compute + comm`` sum bit-identically), local SGD with periodic
-    (optionally delta-compressed) averaging, or the stale-gradient async
-    parameter server.  ``localsgd:1`` routes through the synchronous loop —
-    averaging after every step *is* synchronous training — which the
-    regime-parity tests pin bit-identically.
+    Synchronous data-parallel (the default ``sync_schedule``) and local SGD
+    with periodic, optionally delta-compressed, averaging run through one
+    epoch/iteration driver (:meth:`_TrainingRun.iterate`); each iteration is
+    scheduled by the event-driven
+    :class:`~repro.simulation.engine.SimulationEngine`, whose schedule
+    degenerates to the seed ``compute + comm`` sum with ``cluster.overlap``
+    off.  ``localsgd:1`` *is* synchronous training and takes the synchronous
+    strategy (the regime-parity tests pin it bit-identically).  The
+    stale-gradient async parameter server runs its own event loop.
 
-    ``execution`` picks the host-side strategy for the per-rank passes:
-    ``"batched"`` (default) runs one world-batched forward/backward,
-    ``"looped"`` the per-rank Python loop; float64 losses, gradients and
-    traces are bit-identical either way, and modeled time — which measures
-    the *simulated* cluster — never depends on it.  Ragged tail batches
-    (unequal shapes across ranks) fall back to the loop for that iteration.
-    Local-SGD windows always loop (diverged replicas cannot share one
-    world-batched pass).
+    ``execution`` picks the host-side strategy for the synchronous per-rank
+    passes: ``"batched"`` (default) runs one world-batched forward/backward,
+    ``"looped"`` the per-rank Python loop; float64 results are bit-identical
+    either way and modeled time never depends on it.  Local-SGD windows
+    always loop (diverged replicas cannot share one world-batched pass).
 
     ``checkpoint_at``/``checkpoint_box`` capture a
     :class:`~repro.simulation.regimes.TrainingCheckpoint` just before global
@@ -608,783 +1186,33 @@ def train_distributed(
     """
     if execution not in ("batched", "looped"):
         raise ValueError(f"unknown execution strategy {execution!r}")
-    schedule = parse_sync_schedule(method.sync_schedule)
-    world_size = cluster.world_size
-    plan = cluster.fault_plan()
-    plan.validate_for_regime(schedule.regime)
-    if (checkpoint_at is not None or resume_from is not None) and not schedule.is_synchronous:
-        raise ValueError(
-            "checkpoint/restore is only supported on the synchronous path "
-            f"(sync or localsgd:1 schedules), got {method.sync_schedule!r}"
-        )
-    process_group = cluster.process_group()
-    compressor = method.build_compressor(seed=seed)
-    if resume_from is not None:
+    check_regime_support(
+        method,
+        cluster,
+        pruned=mask is not None,
+        checkpointing=checkpoint_at is not None or resume_from is not None,
+    )
+    schedule = method.schedule()
+    if resume_from is None:
+        compressor = method.build_compressor(seed=seed)
+    else:
         # The compressor's residual/momentum state is part of the checkpoint;
         # hand the DDP wrapper the restored instance from the start.  Deep-
         # copied so one checkpoint can seed several resumes.
         compressor = copy.deepcopy(resume_from.compressor)
-    if schedule.regime == "ps" and not isinstance(compressor, CodecCompressor):
-        raise ValueError(
-            "async parameter-server mode needs a codec-pipeline compressor "
-            f"(its pushes are encoded per worker), got {type(compressor).__name__} "
-            f"for {method.compressor!r}"
-        )
-    if (
-        schedule.regime == "localsgd"
-        and schedule.delta
-        and not schedule.is_synchronous
-        and not isinstance(compressor, CodecCompressor)
-    ):
-        raise ValueError(
-            "localsgd delta mode compresses model deltas through a codec "
-            f"pipeline, got {type(compressor).__name__} for {method.compressor!r}"
-        )
-    ddp = DistributedDataParallel(
-        model,
-        world_size=world_size,
-        process_group=process_group,
-        bucket_cap_bytes=bucket_cap_bytes,
-        comm_hook=compressor,
-    )
-    optimizer = SGD(model.parameters(), lr=lr, momentum=momentum, weight_decay=weight_decay)
-    compute_model = cluster.compute_model()
-    engine = SimulationEngine(overlap=cluster.overlap)
-    timeline = TrainingTimeline()
-    if TRACER.enabled:
-        # One simulated-cluster track group per training run, so sweeps
-        # never overlay two schedules on the same Perfetto tracks.
-        TRACER.new_sim_process(f"{method.name} world={world_size}")
-
-    input_shape = train_dataset.input_shape
-    sparsity_cache = sparsity_cache or _WeightSparsityCache()
-    weight_sparsity = sparsity_cache.value(model, mask)
-    per_rank_compute = cluster.per_rank_iteration_times(
-        model, input_shape, batch_size, weight_sparsity=weight_sparsity
-    )
-    bucket_fractions = compute_model.bucket_completion_fractions(
-        model, input_shape, ddp.buckets
-    )
-
-    # One loader per rank over disjoint shards.
-    rank_loaders = [
-        DataLoader(
-            train_dataset,
-            batch_size=batch_size,
-            sampler=DistributedSampler(len(train_dataset), world_size, rank, seed=seed),
-        )
-        for rank in range(world_size)
-    ]
-
-    shared = dict(
-        model=model,
-        test_loader=test_loader,
-        method=method,
-        cluster=cluster,
-        epochs=epochs,
-        mask=mask,
-        target_accuracy=target_accuracy,
-        stop_at_target=stop_at_target,
-        max_iterations_per_epoch=max_iterations_per_epoch,
-        world_size=world_size,
-        plan=plan,
-        compressor=compressor,
-        ddp=ddp,
-        optimizer=optimizer,
-        timeline=timeline,
-        per_rank_compute=per_rank_compute,
-        rank_loaders=rank_loaders,
+    run = _TrainingRun(
+        model, train_dataset, test_loader, method, cluster, epochs, batch_size, lr, momentum,
+        weight_decay, mask, target_accuracy, stop_at_target, max_iterations_per_epoch, seed,
+        bucket_cap_bytes, sparsity_cache, compressor,
     )
     if schedule.regime == "ps":
-        return _train_async_ps(schedule=schedule, seed=seed, **shared)
-    if schedule.regime == "localsgd" and not schedule.is_synchronous:
-        return _train_localsgd(
-            schedule=schedule,
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            engine=engine,
-            bucket_fractions=bucket_fractions,
-            **shared,
+        run.async_ps(schedule)
+    else:
+        strategy = (
+            _Synchronous(run, execution) if schedule.is_synchronous else _LocalSGD(run, schedule)
         )
-    return _train_synchronous(
-        execution=execution,
-        engine=engine,
-        bucket_fractions=bucket_fractions,
-        checkpoint_at=checkpoint_at,
-        checkpoint_box=checkpoint_box,
-        resume_from=resume_from,
-        **shared,
-    )
-
-
-def _train_synchronous(
-    *,
-    model: Module,
-    test_loader: DataLoader,
-    method: MethodSpec,
-    cluster: ClusterSpec,
-    epochs: int,
-    mask: Optional[PruningMask],
-    target_accuracy: Optional[float],
-    stop_at_target: bool,
-    max_iterations_per_epoch: Optional[int],
-    world_size: int,
-    plan,
-    compressor: Compressor,
-    ddp: DistributedDataParallel,
-    optimizer: SGD,
-    engine: SimulationEngine,
-    timeline: TrainingTimeline,
-    per_rank_compute: List[float],
-    bucket_fractions: List[float],
-    rank_loaders: List[DataLoader],
-    execution: str,
-    checkpoint_at: Optional[int] = None,
-    checkpoint_box: Optional[List[TrainingCheckpoint]] = None,
-    resume_from: Optional[TrainingCheckpoint] = None,
-) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
-    """The synchronous data-parallel loop (the historical code path)."""
-    # Re-join cost model: the returning rank pulls the current parameters
-    # (fp32 wire format) via a broadcast over the post-join membership.
-    model_wire_bytes = float(sum(p.size for p in model.parameters()) * 4)
-    faults = _FaultState(
-        plan, cluster, world_size, ddp, compressor, timeline, model_wire_bytes
-    )
-    global_iteration = 0
-    reached_target = False
-    start_epoch = 0
-    resume_iteration = 0
-    resumed_losses: List[float] = []
-    if resume_from is not None:
-        ck = resume_from
-        ddp.restore_parameters(ck.params)
-        optimizer.load_state_arrays(ck.velocities)
-        timeline = copy.deepcopy(ck.timeline)
-        faults.timeline = timeline
-        faults.cursor = ck.fault_cursor
-        faults.active = list(ck.active_ranks)
-        faults.link = ck.link_factor
-        if len(ck.active_ranks) != world_size or ck.link_factor != 1.0:
-            from repro.comm.process_group import ProcessGroup  # noqa: PLC0415
-
-            degraded_model = cluster.cost_model_for(
-                len(ck.active_ranks), ck.link_factor
-            )
-            ddp.set_active_ranks(
-                list(ck.active_ranks),
-                ProcessGroup(len(ck.active_ranks), degraded_model),
-            )
-        ddp.hook_state.iteration = ck.hook_iteration
-        global_iteration = ck.global_iteration
-        reached_target = ck.reached_target
-        start_epoch = ck.epoch
-        resume_iteration = ck.iteration_in_epoch
-        resumed_losses = list(ck.epoch_losses)
-        # The modeled per-rank times were computed from the *initial* weights
-        # (weight sparsity drifts during training on unmasked models); replay
-        # the captured values so resumed timing is bit-identical.
-        per_rank_compute = list(ck.per_rank_compute)
-        bucket_fractions = list(ck.bucket_fractions)
-    captured = checkpoint_at is None or checkpoint_box is None
-    for epoch in range(start_epoch, epochs):
-        for loader in rank_loaders:
-            loader.set_epoch(epoch)
-        iterators = [iter(loader) for loader in rank_loaders]
-        epoch_losses: List[float] = []
-        iteration = 0
-        if resume_from is not None and epoch == start_epoch:
-            # Fast-forward the deterministic samplers to the captured
-            # position; the consumed batches were already trained on.
-            for _ in range(resume_iteration):
-                for it in iterators:
-                    next(it)
-            iteration = resume_iteration
-            epoch_losses = resumed_losses
-        while True:
-            if max_iterations_per_epoch is not None and iteration >= max_iterations_per_epoch:
-                break
-            if not captured and global_iteration == checkpoint_at:
-                checkpoint_box.append(
-                    TrainingCheckpoint.capture(
-                        ddp=ddp,
-                        optimizer=optimizer,
-                        compressor=compressor,
-                        timeline=timeline,
-                        epoch=epoch,
-                        iteration_in_epoch=iteration,
-                        global_iteration=global_iteration,
-                        epoch_losses=epoch_losses,
-                        fault_cursor=faults.cursor,
-                        active_ranks=faults.active,
-                        link_factor=faults.link,
-                        reached_target=reached_target,
-                        per_rank_compute=per_rank_compute,
-                        bucket_fractions=bucket_fractions,
-                    )
-                )
-                captured = True
-            try:
-                batches = [next(it) for it in iterators]
-            except StopIteration:
-                break
-
-            active_set, churn = faults.advance(timeline.total_time, global_iteration)
-
-            with TRACER.span("train/backward", cat="train", epoch=epoch, iteration=iteration):
-                if (
-                    execution == "batched"
-                    and not ddp.is_degraded
-                    and DistributedDataParallel._stackable(batches)
-                ):
-                    images = np.stack([batch[0] for batch in batches])
-                    labels = np.stack([np.asarray(batch[1]) for batch in batches])
-                    per_rank_losses, grads = ddp.compute_batched_gradients(
-                        (images, labels), F.cross_entropy
-                    )
-                    if method.gse and mask is not None:
-                        # keep masks broadcast over the leading world axis:
-                        # (world, *shape) * (*shape) multiplies each rank's
-                        # slice exactly as the looped path does.
-                        grads = apply_gse(model, mask, grads=grads)
-                    ddp.stage_world_gradients(grads)
-                else:
-                    per_rank_losses = []
-                    for rank, batch in enumerate(batches):
-                        if active_set is not None and rank not in active_set:
-                            # Dead rank: its shard's batch is consumed (data
-                            # order stays deterministic) but contributes no
-                            # gradient, loss or compute this iteration.
-                            continue
-                        # copy=False is safe because each rank's gradients are
-                        # staged into the arena before the next rank's backward
-                        # pass runs (GSE, when active, reads them in the same
-                        # window).
-                        loss_value, grads = ddp.compute_local_gradients(
-                            batch, F.cross_entropy, copy=False
-                        )
-                        if method.gse and mask is not None:
-                            grads = apply_gse(model, mask, grads=grads)
-                        ddp.stage_rank_gradients(rank, grads)
-                        per_rank_losses.append(loss_value)
-
-            with TRACER.span("train/sync", cat="train", epoch=epoch, iteration=iteration):
-                aggregated, bucket_events = ddp.synchronize_staged()
-            with TRACER.span("train/apply", cat="train", epoch=epoch, iteration=iteration):
-                ddp.apply_aggregated_gradients(aggregated)
-                optimizer.step()
-                if mask is not None:
-                    # Guard against regrowth through momentum / weight decay.
-                    mask.apply_to_weights(model)
-
-            # Flat sums over the events in issue order — the same accumulation
-            # order (and therefore the same floats) as the drained group log.
-            comm_seconds = float(
-                sum(e.time_seconds for per_bucket in bucket_events for e in per_bucket)
-            )
-            comm_bytes = float(
-                sum(e.bytes_per_worker for per_bucket in bucket_events for e in per_bucket)
-            )
-            per_bucket_seconds = [
-                float(sum(e.time_seconds for e in per_bucket)) for per_bucket in bucket_events
-            ]
-            iteration_compute = per_rank_compute
-            if faults.faulty:
-                # Survivors only, each scaled by this iteration's churn draw
-                # (counter-based, so the draw depends only on the iteration
-                # index — never on how the run got here).
-                iteration_compute = [
-                    per_rank_compute[rank] * churn[rank] for rank in faults.active
-                ]
-            trace = engine.run_iteration(
-                iteration_compute,
-                bucket_fractions,
-                per_bucket_seconds,
-            )
-            sim_base = timeline.total_time
-            timeline.add_iteration(trace.compute_span, comm_seconds, comm_bytes, trace=trace)
-            if faults.faulty:
-                timeline.note_degraded_iteration(
-                    world_size - len(faults.active), trace.wall_time
-                )
-                if TRACER.enabled and len(faults.active) < world_size:
-                    from repro.obs.tracer import SIM_SCHEDULE_TID  # noqa: PLC0415
-
-                    TRACER.sim_span(
-                        "fault/degraded-world", "fault", ts=sim_base,
-                        dur=trace.wall_time, tid=SIM_SCHEDULE_TID,
-                        alive=len(faults.active),
-                        dead=world_size - len(faults.active),
-                    )
-            if TRACER.enabled:
-                # Simulated-clock tracks: per-rank backward segments, the
-                # link channel's per-bucket reduce windows, the iteration
-                # critical path.  The increment of the timeline total is
-                # exactly trace.wall_time, so iterations tile the sim axis.
-                from repro.obs.instrument import emit_simulated_iteration  # noqa: PLC0415
-
-                emit_simulated_iteration(
-                    TRACER, sim_base, trace, bucket_fractions, timeline.iterations - 1
-                )
-                TRACER.sim_now = timeline.total_time
-            ddp.hook_state.iteration += 1
-            global_iteration += 1
-            epoch_losses.append(float(np.mean(per_rank_losses)))
-            iteration += 1
-
-        accuracy = evaluate_accuracy(model, test_loader)
-        mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-        timeline.snapshot_epoch(epoch, mean_loss, accuracy)
-
-        if target_accuracy is not None and accuracy >= target_accuracy:
-            reached_target = True
-            if stop_at_target:
-                break
-    return timeline, ddp, compressor, reached_target
-
-
-def _train_localsgd(
-    *,
-    model: Module,
-    test_loader: DataLoader,
-    method: MethodSpec,
-    schedule: SyncSchedule,
-    cluster: ClusterSpec,
-    epochs: int,
-    lr: float,
-    momentum: float,
-    weight_decay: float,
-    mask: Optional[PruningMask],
-    target_accuracy: Optional[float],
-    stop_at_target: bool,
-    max_iterations_per_epoch: Optional[int],
-    world_size: int,
-    plan,
-    compressor: Compressor,
-    ddp: DistributedDataParallel,
-    optimizer: SGD,
-    engine: SimulationEngine,
-    timeline: TrainingTimeline,
-    per_rank_compute: List[float],
-    bucket_fractions: List[float],
-    rank_loaders: List[DataLoader],
-) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
-    """Local SGD: H local optimiser steps per rank between averaging rounds.
-
-    Each rank trains on its own diverged parameter/velocity replica
-    (:class:`~repro.simulation.regimes.ReplicaSet`); every ``schedule.period``
-    iterations the replicas are reconciled through one collective.  In delta
-    mode each rank stages its *model delta* (parameters minus the last synced
-    anchor) through the method's codec pipeline — error feedback then carries
-    the delta mass the encoding dropped, and fault-driven membership changes
-    remap residuals through the same elastic seam as gradients.  Dense mode
-    all-reduces the raw fp32 parameters (the method's compressor is not
-    consulted at the boundary — FedAvg-style exact averaging).
-
-    ``optimizer`` (the shared-model optimiser built by the dispatcher) is
-    unused: local steps go through the per-rank replicas' optimisers.
-    """
-    del optimizer  # per-rank optimisers live in the ReplicaSet
-    period = schedule.period
-    model_wire_bytes = float(sum(p.size for p in model.parameters()) * 4)
-    faults = _FaultState(
-        plan, cluster, world_size, ddp, compressor, timeline, model_wire_bytes
-    )
-    replicas = ReplicaSet(
-        model, world_size, lr=lr, momentum=momentum, weight_decay=weight_decay
-    )
-    anchor = ddp.snapshot_parameters()
-    use_gse = method.gse and mask is not None
-
-    def on_rejoin(ranks: List[int]) -> None:
-        # A returning rank starts from the last synced state with fresh
-        # momentum (its broadcast cost was already charged by the fault
-        # interpreter).
-        for rank in ranks:
-            replicas.assign(rank, anchor)
-            replicas.reset_velocity(rank)
-
-    def sync_round(active: List[int]):
-        """Average the active replicas; returns (comm_s, comm_bytes, per_bucket_s)."""
-        nonlocal anchor
-        for rank in active:
-            if schedule.delta:
-                ddp.stage_rank_gradients(rank, replicas.delta(rank, anchor))
-            else:
-                ddp.stage_rank_gradients(rank, replicas.params_dict(rank))
-        if schedule.delta:
-            aggregated, bucket_events = ddp.synchronize_staged()
-            new_params = {
-                name: anchor[name] + aggregated[name] for name in anchor
-            }
-        else:
-            # Dense parameter averaging: swap in the native all-reduce hook
-            # for this collective so the raw fp32 parameters go on the wire.
-            ddp.register_comm_hook(None)
-            try:
-                aggregated, bucket_events = ddp.synchronize_staged()
-            finally:
-                ddp.register_comm_hook(compressor)
-            new_params = aggregated
-        for name, param in model.named_parameters():
-            param.data = new_params[name]
-        if mask is not None:
-            mask.apply_to_weights(model)
-        anchor = ddp.snapshot_parameters()
-        replicas.reset_all(anchor, active)
-        comm_seconds = float(
-            sum(e.time_seconds for per_bucket in bucket_events for e in per_bucket)
-        )
-        comm_bytes = float(
-            sum(e.bytes_per_worker for per_bucket in bucket_events for e in per_bucket)
-        )
-        per_bucket_seconds = [
-            float(sum(e.time_seconds for e in per_bucket)) for per_bucket in bucket_events
-        ]
-        return comm_seconds, comm_bytes, per_bucket_seconds
-
-    global_iteration = 0
-    window = 0  # local steps since the last averaging round
-    reached_target = False
-    for epoch in range(epochs):
-        for loader in rank_loaders:
-            loader.set_epoch(epoch)
-        iterators = [iter(loader) for loader in rank_loaders]
-        epoch_losses: List[float] = []
-        iteration = 0
-        while True:
-            if max_iterations_per_epoch is not None and iteration >= max_iterations_per_epoch:
-                break
-            try:
-                batches = [next(it) for it in iterators]
-            except StopIteration:
-                break
-
-            active_set, churn = faults.advance(
-                timeline.total_time, global_iteration, on_rejoin=on_rejoin
-            )
-            active = faults.active if faults.faulty else list(range(world_size))
-
-            per_rank_losses: List[float] = []
-            with TRACER.span("train/backward", cat="train", epoch=epoch, iteration=iteration):
-                for rank, batch in enumerate(batches):
-                    if active_set is not None and rank not in active_set:
-                        # Dead rank: its shard's batch is consumed (data
-                        # order stays deterministic) but it takes no step.
-                        continue
-                    replicas.load(rank)
-                    loss_value, grads = ddp.compute_local_gradients(
-                        batch, F.cross_entropy, copy=False
-                    )
-                    if use_gse:
-                        grads = apply_gse(model, mask, grads=grads)
-                        ddp.apply_aggregated_gradients(grads)
-                    replicas.step(rank)
-                    if mask is not None:
-                        mask.apply_to_weights(model)
-                    replicas.save(rank)
-                    per_rank_losses.append(loss_value)
-
-            window += 1
-            is_boundary = window >= period
-            if is_boundary:
-                with TRACER.span(
-                    "regime/localsgd-sync", cat="regime",
-                    epoch=epoch, iteration=iteration, window=window,
-                ):
-                    comm_seconds, comm_bytes, per_bucket_seconds = sync_round(active)
-                timeline.sync_rounds += 1
-                window = 0
-            else:
-                comm_seconds, comm_bytes, per_bucket_seconds = 0.0, 0.0, []
-                timeline.local_steps += 1
-
-            iteration_compute = per_rank_compute
-            if faults.faulty:
-                iteration_compute = [
-                    per_rank_compute[rank] * churn[rank] for rank in faults.active
-                ]
-            if is_boundary:
-                trace = engine.run_iteration(
-                    iteration_compute, bucket_fractions, per_bucket_seconds
-                )
-            else:
-                trace = engine.run_local_iteration(iteration_compute)
-            sim_base = timeline.total_time
-            timeline.add_iteration(trace.compute_span, comm_seconds, comm_bytes, trace=trace)
-            if faults.faulty:
-                timeline.note_degraded_iteration(
-                    world_size - len(faults.active), trace.wall_time
-                )
-            if TRACER.enabled:
-                from repro.obs.instrument import emit_simulated_iteration  # noqa: PLC0415
-
-                emit_simulated_iteration(
-                    TRACER, sim_base, trace,
-                    bucket_fractions if is_boundary else [],
-                    timeline.iterations - 1,
-                )
-                TRACER.sim_now = timeline.total_time
-            ddp.hook_state.iteration += 1
-            global_iteration += 1
-            epoch_losses.append(float(np.mean(per_rank_losses)))
-            iteration += 1
-
-        if window > 0:
-            # Flush a partially filled window so evaluation (and the final
-            # model) sees the averaged parameters, not one rank's replica.
-            active = faults.active if faults.faulty else list(range(world_size))
-            with TRACER.span("regime/localsgd-flush", cat="regime", epoch=epoch, window=window):
-                comm_seconds, comm_bytes, _ = sync_round(active)
-            timeline.add_sync_round(comm_seconds, comm_bytes)
-            window = 0
-
-        accuracy = evaluate_accuracy(model, test_loader)
-        mean_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-        timeline.snapshot_epoch(epoch, mean_loss, accuracy)
-
-        if target_accuracy is not None and accuracy >= target_accuracy:
-            reached_target = True
-            if stop_at_target:
-                break
-    return timeline, ddp, compressor, reached_target
-
-
-def _train_async_ps(
-    *,
-    model: Module,
-    test_loader: DataLoader,
-    method: MethodSpec,
-    schedule: SyncSchedule,
-    cluster: ClusterSpec,
-    epochs: int,
-    seed: int,
-    mask: Optional[PruningMask],
-    target_accuracy: Optional[float],
-    stop_at_target: bool,
-    max_iterations_per_epoch: Optional[int],
-    world_size: int,
-    plan,
-    compressor: Compressor,
-    ddp: DistributedDataParallel,
-    optimizer: SGD,
-    timeline: TrainingTimeline,
-    per_rank_compute: List[float],
-    rank_loaders: List[DataLoader],
-) -> Tuple[TrainingTimeline, DistributedDataParallel, Compressor, bool]:
-    """Stale-gradient asynchronous parameter server on the event engine.
-
-    A logical PS rank holds the parameters; workers cycle pull → compute →
-    push with no barrier, serialised FCFS on the server's access link
-    (:class:`~repro.simulation.engine.LinkChannel`).  Gradients are computed
-    against the parameters as of the worker's pull and applied whenever the
-    push lands — the measured staleness (server updates applied in between)
-    is recorded per update.  ``schedule.staleness`` bounds the progress skew:
-    a worker may start update ``k`` only while ``k - min_progress <= S``
-    (stale synchronous parallel); blocked workers re-enter in rank order as
-    laggards apply.
-
-    Each worker encodes its pushes through its own codec-pipeline instance
-    (independent stage state, per-worker error-feedback residuals); pulls
-    carry the dense fp32 parameters.  Busy compute/comm time accumulates per
-    update, and the timeline total is reconciled to the event clock at every
-    epoch snapshot (see ``TrainingTimeline.reconcile_async_total``).
-    """
-    if mask is not None or method.gse:
-        raise ValueError(
-            "async parameter-server mode does not support pruning/GSE methods: "
-            "the mask lifecycle assumes a synchronous view of the parameters"
-        )
-    assert isinstance(compressor, CodecCompressor)  # dispatcher validated
-    staleness_bound = schedule.staleness
-    cost_model = cluster.cost_model_for(world_size)
-    model_wire_bytes = float(sum(p.size for p in model.parameters()) * 4)
-    pull_seconds = cost_model.p2p_time(model_wire_bytes)
-
-    iters_per_epoch = min(len(loader) for loader in rank_loaders)
-    if max_iterations_per_epoch is not None:
-        iters_per_epoch = min(iters_per_epoch, max_iterations_per_epoch)
-    reached_target = False
-    if iters_per_epoch == 0:
-        for epoch in range(epochs):
-            accuracy = evaluate_accuracy(model, test_loader)
-            timeline.snapshot_epoch(epoch, float("nan"), accuracy)
-            if target_accuracy is not None and accuracy >= target_accuracy:
-                reached_target = True
-                if stop_at_target:
-                    break
-        return timeline, ddp, compressor, reached_target
-    total_per_worker = epochs * iters_per_epoch
-
-    # Per-worker codec pipelines: stage state (low-rank warm starts, stage
-    # seeds) and error-feedback residuals must not be shared across workers
-    # pushing at different versions.  Worker 0 reuses the dispatcher's
-    # instance, which doubles as the run's stats carrier.
-    worker_codecs: List[CodecCompressor] = [compressor]
-    for _ in range(1, world_size):
-        clone = method.build_compressor(seed=seed)
-        assert isinstance(clone, CodecCompressor)
-        worker_codecs.append(clone)
-    driver_ef = compressor.error_feedback
-    buckets = ddp.buckets
-    residuals: List[List[Optional[np.ndarray]]] = [
-        [None] * len(buckets) for _ in range(world_size)
-    ]
-
-    from repro.compression.codec import EncodeContext  # noqa: PLC0415
-
-    heap = EventHeap()
-    channel = LinkChannel()
-    completed = [0] * world_size  # applied updates per worker
-    version_at_pull = [0] * world_size
-    pending: List[Optional[Dict]] = [None] * world_size
-    blocked: set = set()
-    applies = 0
-    epoch_loss_buckets: List[List[float]] = [[] for _ in range(epochs)]
-    worker_epoch = [-1] * world_size
-    worker_iters: List[Optional[object]] = [None] * world_size
-    snapshots_done = 0
-    stop = False
-
-    def batch_for(rank: int, update_index: int):
-        epoch = update_index // iters_per_epoch
-        if worker_epoch[rank] != epoch:
-            rank_loaders[rank].set_epoch(epoch)
-            worker_iters[rank] = iter(rank_loaders[rank])
-            worker_epoch[rank] = epoch
-        return next(worker_iters[rank])
-
-    def admissible(rank: int) -> bool:
-        if staleness_bound is None:
-            return True
-        return completed[rank] - min(completed) <= staleness_bound
-
-    for rank in range(world_size):
-        heap.push(SimEvent(time=0.0, kind="ps-request", rank=rank))
-
-    while heap and not stop:
-        event = heap.pop()
-        now = event.time
-        rank = event.rank
-        if event.kind == "ps-request":
-            if admissible(rank):
-                start, end = channel.acquire(now, pull_seconds)
-                pending[rank] = {"pull": (start, end)}
-                heap.push(SimEvent(time=end, kind="ps-pulled", rank=rank))
-            else:
-                blocked.add(rank)
-        elif event.kind == "ps-pulled":
-            # Events are processed in time order, so every apply scheduled
-            # before this pull's completion has already landed — the shared
-            # model holds exactly the parameters this worker pulls.
-            state = pending[rank]
-            version_at_pull[rank] = applies
-            update_index = completed[rank]
-            batch = batch_for(rank, update_index)
-            loss_value, grads = ddp.compute_local_gradients(
-                batch, F.cross_entropy, copy=False
-            )
-            codec = worker_codecs[rank]
-            decoded: List[np.ndarray] = []
-            payload_bytes = 0.0
-            for bucket in buckets:
-                flat = bucket.flatten(grads)
-                res = residuals[rank][bucket.index]
-                if driver_ef:
-                    if res is None:
-                        res = residuals[rank][bucket.index] = np.zeros_like(flat)
-                    np.add(flat, res, out=flat)  # flatten returned a fresh buffer
-                context = EncodeContext(
-                    world_size=1,
-                    bucket_index=bucket.index,
-                    iteration=update_index,
-                )
-                payload = codec.pipeline.encode_all([flat], context)[0]
-                out = codec.pipeline.decode(payload)
-                if driver_ef:
-                    residuals[rank][bucket.index] = flat - out
-                payload_bytes += float(payload.nbytes)
-                decoded.append(out)
-                # Mirror CodecCompressor._record on the shared stats carrier:
-                # one aggregation of this bucket, fp32 raw bytes, wire bytes.
-                compressor.stats.iterations += 1
-                compressor.stats.raw_bytes += bucket.numel * FP32_BYTES
-                compressor.stats.wire_bytes += float(payload.nbytes)
-            compute_seconds = per_rank_compute[rank]
-            state.update(
-                decoded=decoded,
-                payload_bytes=payload_bytes,
-                loss=loss_value,
-                compute=compute_seconds,
-                epoch=update_index // iters_per_epoch,
-            )
-            heap.push(SimEvent(time=now + compute_seconds, kind="ps-push", rank=rank))
-        elif event.kind == "ps-push":
-            state = pending[rank]
-            push_seconds = cost_model.p2p_time(state["payload_bytes"])
-            start, end = channel.acquire(now, push_seconds)
-            state["push"] = (start, end)
-            state["push_seconds"] = push_seconds
-            heap.push(SimEvent(time=end, kind="ps-apply", rank=rank))
-        elif event.kind == "ps-apply":
-            state = pending[rank]
-            aggregated: Dict[str, np.ndarray] = {}
-            for bucket, flat in zip(buckets, state["decoded"]):
-                aggregated.update(bucket.unflatten(flat))
-            ddp.apply_aggregated_gradients(aggregated)
-            optimizer.step()
-            staleness = applies - version_at_pull[rank]
-            applies += 1
-            completed[rank] += 1
-            timeline.record_staleness(staleness)
-            timeline.add_iteration(
-                state["compute"],
-                pull_seconds + state["push_seconds"],
-                (model_wire_bytes + state["payload_bytes"]) / world_size,
-            )
-            epoch_loss_buckets[state["epoch"]].append(state["loss"])
-            if TRACER.enabled:
-                from repro.obs.instrument import emit_ps_update  # noqa: PLC0415
-
-                emit_ps_update(
-                    TRACER,
-                    rank=rank,
-                    pull=state["pull"],
-                    compute_seconds=state["compute"],
-                    push=state["push"],
-                    staleness=staleness,
-                    update_index=completed[rank] - 1,
-                    payload_bytes=state["payload_bytes"],
-                    pull_bytes=model_wire_bytes,
-                )
-                TRACER.sim_now = now
-            ddp.hook_state.iteration += 1
-            while (
-                snapshots_done < epochs
-                and min(completed) >= (snapshots_done + 1) * iters_per_epoch
-            ):
-                timeline.reconcile_async_total(now)
-                accuracy = evaluate_accuracy(model, test_loader)
-                losses = epoch_loss_buckets[snapshots_done]
-                mean_loss = float(np.mean(losses)) if losses else float("nan")
-                timeline.snapshot_epoch(snapshots_done, mean_loss, accuracy)
-                snapshots_done += 1
-                if target_accuracy is not None and accuracy >= target_accuracy:
-                    reached_target = True
-                    if stop_at_target:
-                        stop = True  # in-flight work is discarded
-            if not stop and completed[rank] < total_per_worker:
-                heap.push(SimEvent(time=now, kind="ps-request", rank=rank))
-            # This apply raised min-progress (or freed the channel): re-admit
-            # blocked workers in rank order for determinism.
-            for other in sorted(blocked):
-                if admissible(other):
-                    blocked.discard(other)
-                    heap.push(SimEvent(time=now, kind="ps-request", rank=other))
-        else:  # pragma: no cover - no other kinds are scheduled
-            raise RuntimeError(f"unexpected event kind {event.kind!r}")
-
-    return timeline, ddp, compressor, reached_target
+        run.iterate(strategy, checkpoint_at, checkpoint_box, resume_from)
+    return run.timeline, run.ddp, run.compressor, run.reached_target
 
 
 # --------------------------------------------------------------------------- #
@@ -1409,6 +1237,7 @@ def run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentRe
 
 
 def _run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentResult:
+    check_regime_support(method, config.cluster, pruned=method.pruning_ratio > 0.0)
     dataset = make_dataset(
         config.dataset,
         num_samples=config.dataset_samples,
@@ -1449,9 +1278,7 @@ def _run_experiment(config: ExperimentConfig, method: MethodSpec) -> ExperimentR
         execution=config.execution,
     )
 
-    gradient_density = 1.0
-    if mask is not None:
-        gradient_density = mask.density
+    gradient_density = mask.density if mask is not None else 1.0
 
     from repro.pactrain.compressor import PacTrainCompressor  # noqa: PLC0415
 

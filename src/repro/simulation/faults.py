@@ -180,23 +180,6 @@ class FaultPlan:
                     )
                 alive.add(event.rank)
 
-    def validate_for_regime(self, regime: str) -> None:
-        """Reject plan/regime combinations the driver cannot interpret.
-
-        Fault events are applied at collective boundaries (the synchronous
-        and local-SGD loops interpret them between iterations).  The async
-        parameter-server loop has no such boundary — workers are mid-flight
-        at arbitrary event times — so a non-empty plan there would silently
-        never fire.  Fail loudly instead.
-        """
-        if regime == "ps" and not self.is_empty:
-            raise ValueError(
-                "fault plans are not supported in async parameter-server mode: "
-                "the ps regime has no collective boundary at which membership "
-                "changes could apply; use the 'sync' or 'localsgd:H' regimes "
-                "for fault studies"
-            )
-
     # ------------------------------------------------------------------ #
     # Interpretation
     # ------------------------------------------------------------------ #

@@ -32,7 +32,6 @@ tests pin this bit-identically for every golden method.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -44,7 +43,6 @@ from repro.nn.module import Module
 __all__ = [
     "SyncSchedule",
     "parse_sync_schedule",
-    "register_regime",
     "REGIME_PARSERS",
     "ReplicaSet",
     "TrainingCheckpoint",
@@ -173,11 +171,6 @@ REGIME_PARSERS: Dict[str, Callable[[str, List[str]], SyncSchedule]] = {
 }
 
 
-def register_regime(name: str, parser: Callable[[str, List[str]], SyncSchedule]) -> None:
-    """Register a schedule parser under a leading token (case-insensitive)."""
-    REGIME_PARSERS[name.lower()] = parser
-
-
 def parse_sync_schedule(spec: Optional[str]) -> SyncSchedule:
     """Parse a ``sync_schedule`` spec string (module docstring grammar).
 
@@ -275,11 +268,6 @@ class ReplicaSet:
         """Reset one rank's replica to copies of ``params`` (e.g. on re-join)."""
         self.replicas[rank] = [params[name].copy() for name, _ in self._named]
 
-    def reset_all(self, params: Dict[str, np.ndarray], ranks) -> None:
-        """Reset the given ranks' replicas to copies of the averaged ``params``."""
-        for rank in ranks:
-            self.assign(rank, params)
-
     def reset_velocity(self, rank: int) -> None:
         """Zero one rank's momentum state (a re-joining rank starts fresh)."""
         optimizer = self.optimizers[rank]
@@ -321,40 +309,3 @@ class TrainingCheckpoint:
     #: drifts during training on unmasked models).
     per_rank_compute: List[float]
     bucket_fractions: List[float]
-
-    @classmethod
-    def capture(
-        cls,
-        *,
-        ddp,
-        optimizer: SGD,
-        compressor,
-        timeline,
-        epoch: int,
-        iteration_in_epoch: int,
-        global_iteration: int,
-        epoch_losses: List[float],
-        fault_cursor: float,
-        active_ranks: List[int],
-        link_factor: float,
-        reached_target: bool,
-        per_rank_compute,
-        bucket_fractions,
-    ) -> "TrainingCheckpoint":
-        return cls(
-            params=ddp.snapshot_parameters(),
-            velocities=optimizer.state_arrays(),
-            compressor=copy.deepcopy(compressor),
-            timeline=copy.deepcopy(timeline),
-            epoch=epoch,
-            iteration_in_epoch=iteration_in_epoch,
-            global_iteration=global_iteration,
-            epoch_losses=list(epoch_losses),
-            fault_cursor=fault_cursor,
-            active_ranks=list(active_ranks),
-            link_factor=link_factor,
-            reached_target=reached_target,
-            hook_iteration=ddp.hook_state.iteration,
-            per_rank_compute=list(per_rank_compute),
-            bucket_fractions=list(bucket_fractions),
-        )

@@ -14,7 +14,6 @@ from repro.ddp import (
     HookState,
     allreduce_hook,
     build_buckets,
-    fp16_compress_hook,
 )
 from repro.ddp.bucket import Bucket, BucketSlice
 from repro.ddp.hooks import make_hook
@@ -111,7 +110,7 @@ class TestHooks:
         bucket = Bucket(index=0, slices=[BucketSlice("w", 0, 64, (64,))])
         buffers = [rng.standard_normal(64) for _ in range(2)]
         state = HookState(process_group=ProcessGroup(2))
-        result = fp16_compress_hook(state, GradBucket(bucket, buffers))
+        result = make_hook(FP16Compressor())(state, GradBucket(bucket, buffers))
         exact = np.mean(buffers, axis=0)
         assert np.abs(result - exact).max() < 1e-2
         assert np.abs(result - exact).max() > 0.0
@@ -145,7 +144,9 @@ class TestDistributedDataParallel:
 
         _, grads_a = ddp.compute_local_gradients(batch_a, F.cross_entropy)
         _, grads_b = ddp.compute_local_gradients(batch_b, F.cross_entropy)
-        aggregated = ddp.synchronize_gradients([grads_a, grads_b])
+        ddp.stage_rank_gradients(0, grads_a)
+        ddp.stage_rank_gradients(1, grads_b)
+        aggregated, _ = ddp.synchronize_staged()
         for name in grads_a:
             np.testing.assert_allclose(
                 aggregated[name], (grads_a[name] + grads_b[name]) / 2, atol=1e-12

@@ -55,6 +55,13 @@ def tiny_config(dtype: str = "float64", **overrides) -> ExperimentConfig:
     return config
 
 
+def _synchronize(ddp, per_rank_grads):
+    """Stage one gradient dict per rank, then aggregate (returns grads, events)."""
+    for rank, grads in enumerate(per_rank_grads):
+        ddp.stage_rank_gradients(rank, grads)
+    return ddp.synchronize_staged()
+
+
 def _world_batches(world_size: int, seed: int = 0):
     dataset = synthetic_cifar10(num_samples=64, image_size=8, seed=seed)
     loaders = [
@@ -149,11 +156,11 @@ class TestGradientArena:
         images, labels = sample_batch
         _, grads = ddp.compute_local_gradients((images, labels), F.cross_entropy)
         full = dict(grads)
-        ddp.synchronize_gradients([full, full])
+        _synchronize(ddp, [full, full])
 
         name = next(iter(full))
         partial = {k: v for k, v in full.items() if k != name}
-        aggregated = ddp.synchronize_gradients([partial, partial])
+        aggregated = _synchronize(ddp, [partial, partial])[0]
         assert np.all(aggregated[name] == 0.0)
 
     def test_consecutive_steps_do_not_alias(self, tiny_model, sample_batch):
@@ -161,10 +168,10 @@ class TestGradientArena:
         ddp = DistributedDataParallel(tiny_model, world_size=2)
         images, labels = sample_batch
         _, grads = ddp.compute_local_gradients((images, labels), F.cross_entropy)
-        first = ddp.synchronize_gradients([grads, grads])
+        first = _synchronize(ddp, [grads, grads])[0]
         snapshot = {name: value.copy() for name, value in first.items()}
         doubled = {name: value * 2.0 for name, value in grads.items()}
-        ddp.synchronize_gradients([doubled, doubled])
+        _synchronize(ddp, [doubled, doubled])
         for name, value in first.items():
             np.testing.assert_array_equal(value, snapshot[name])
 
@@ -177,7 +184,7 @@ class TestGradientArena:
         ddp = DistributedDataParallel(tiny_model, world_size=2, comm_hook=passthrough_hook)
         images, labels = sample_batch
         _, grads = ddp.compute_local_gradients((images, labels), F.cross_entropy)
-        aggregated = ddp.synchronize_gradients([grads, grads])
+        aggregated = _synchronize(ddp, [grads, grads])[0]
         for value in aggregated.values():
             assert not ddp.arena.shares_memory_with(value)
 
@@ -186,7 +193,7 @@ class TestGradientArena:
         ddp = DistributedDataParallel(tiny_model, world_size=2)
         images, labels = sample_batch
         _, grads = ddp.compute_local_gradients((images, labels), F.cross_entropy)
-        aggregated, _ = ddp.synchronize_gradients_traced([grads, grads])
+        aggregated, _ = _synchronize(ddp, [grads, grads])
         ddp.apply_aggregated_gradients(aggregated)
         params = dict(tiny_model.named_parameters())
         for name, value in aggregated.items():
