@@ -4,9 +4,11 @@ This example shows the lower-level API the PacTrain implementation itself is
 built on:
 
 * implement a custom :class:`repro.compression.Codec` stage (here: a toy
-  "sign-SGD with shared scale" codec) — ``prepare`` agrees on the scale
-  across ranks, ``encode`` emits a 1-bit-per-element wire payload, ``decode``
-  rescales back to gradient units;
+  "sign-SGD with shared scale" codec).  ``encode`` sees every rank's
+  gradients at once — a world-stacked payload whose row *r* is rank *r* — so
+  it agrees on the scale across ranks with plain array code and emits a
+  1-bit-per-element wire payload for the whole world; ``decode`` rescales the
+  reduced payload back to gradient units;
 * bind it to the shared encode/reduce/decode driver with
   :class:`repro.compression.CodecCompressor` and register it under a name so
   experiment configurations can refer to it;
@@ -59,18 +61,17 @@ class SignCodec(Codec):
     def __init__(self) -> None:
         self._scale = 1.0
 
-    def prepare(self, inputs, ctx):
-        # Shared scale: the mean absolute gradient across ranks.  The
-        # one-scalar all-reduce is issued for its modeled cost; the shared
-        # value is computed locally (the simulation holds all ranks in-process).
-        means = [float(np.mean(np.abs(p.values))) for p in inputs]
+    def encode(self, batch, ctx):
+        # Shared scale: the mean absolute gradient across ranks (one row of
+        # ``batch.values`` per rank).  The one-scalar-per-rank all-reduce is
+        # issued for its modeled cost; the shared value is computed locally
+        # (the simulation holds all ranks in-process).
+        means = np.mean(np.abs(batch.values), axis=1)
         if ctx.group is not None:
-            ctx.group.all_reduce([DensePayload(np.array([m])) for m in means], average=True)
+            ctx.group.all_reduce(DensePayload(means[:, None]), average=True)
         self._scale = float(np.mean(means))
-
-    def encode(self, payload, ctx, rank=0):
         # One bit per element on the wire: the payload *is* the byte account.
-        return DensePayload(np.sign(payload.values), element_bytes=SIGN_BYTES)
+        return DensePayload(np.sign(batch.values), element_bytes=SIGN_BYTES)
 
     def decode(self, payload):
         return DensePayload(np.asarray(payload.values, dtype=np.float64) * self._scale)

@@ -1,16 +1,17 @@
 """Collective communication operations over simulated ranks.
 
-Each collective takes the per-rank buffers (a list indexed by rank) — either
-raw numpy arrays or first-class :class:`~repro.compression.codec.payloads.WirePayload`
-objects — computes the mathematically exact result and returns it together
-with a :class:`CollectiveEvent` describing the modeled cost: which algorithm
-ran, how many bytes each worker put on the wire, and how long the operation
-took under the :class:`repro.comm.network.NetworkModel`.
+Each collective takes every rank's contribution — either a list of raw
+numpy arrays indexed by rank, or one world-stacked
+:class:`~repro.compression.codec.payloads.WirePayload` whose arrays carry a
+leading world axis — computes the mathematically exact result and returns it
+together with a :class:`CollectiveEvent` describing the modeled cost: which
+algorithm ran, how many bytes each worker put on the wire, and how long the
+operation took under the :class:`repro.comm.network.NetworkModel`.
 
-When payloads are passed, the wire size is **derived from the encoded
-representation** (``payload.nbytes``): a sparse payload is charged for its
-(index, value) pairs, a ternary payload for two bits per element, and so on.
-The legacy raw-array path keeps the ``element_bytes`` override for tests and
+When a payload is passed, the wire size is **derived from the encoded
+representation** (``payload.nbytes``, per rank): a sparse payload is charged
+for its (index, value) pairs, a ternary payload for two bits per element, and
+so on.  The raw-array path keeps the ``element_bytes`` override for tests and
 ad-hoc modeling, but the compression stack itself always communicates
 payloads, so byte accounting is measured rather than asserted.
 
@@ -18,8 +19,9 @@ The numerical results are exact (no simulation of per-step partial sums is
 needed for correctness), while the *costs* follow the standard ring-based
 algorithms — this mirrors how NCCL behaves from the training loop's point of
 view: the right answer arrives after a bandwidth/latency dependent delay.
-Reductions accumulate rank by rank into one preallocated buffer, so peak
-memory stays O(numel) instead of the O(world × numel) of a stack-then-sum.
+Every reduction adds the ranks' contributions **in rank order** into a zero
+buffer; that order is the bit-identity rule all reduction paths share.
+Payload results are handed on as read-only views, never copies.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.comm.network import NetworkModel
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compression.codec.payloads import WirePayload
 
-Buffers = Sequence[Union[np.ndarray, "WirePayload"]]
+Buffers = Union[Sequence[np.ndarray], "WirePayload"]
 
 
 _WIRE_PAYLOAD_CLS = None
@@ -65,18 +67,6 @@ class CollectiveEvent:
     metadata: dict = field(default_factory=dict)
 
 
-def _is_payload_sequence(buffers: Buffers) -> bool:
-    if len(buffers) == 0:
-        raise ValueError("collective called with no buffers")
-    payload_count = sum(1 for b in buffers if _is_payload(b))
-    if 0 < payload_count < len(buffers):
-        raise ValueError(
-            f"collective received a mix of {payload_count} WirePayloads and "
-            f"{len(buffers) - payload_count} raw arrays; pass one kind per call"
-        )
-    return payload_count == len(buffers)
-
-
 def _check_buffers(buffers: Sequence[np.ndarray]) -> None:
     if len(buffers) == 0:
         raise ValueError("collective called with no buffers")
@@ -88,15 +78,20 @@ def _check_buffers(buffers: Sequence[np.ndarray]) -> None:
             )
 
 
-def _check_payloads(payloads: Sequence[WirePayload]) -> None:
-    head = payloads[0]
-    for index, payload in enumerate(payloads[1:], start=1):
-        if not head.reducible_with(payload):
-            raise ValueError(
-                f"rank {index} payload ({type(payload).__name__}) is not element-wise "
-                f"reducible with rank 0 ({type(head).__name__}); aggregate per-rank "
-                "selections with all_gather instead"
-            )
+def rank_order_sum(matrix: np.ndarray) -> np.ndarray:
+    """Sum a ``(world, L)`` matrix over its rows in one array pass.
+
+    Bit-identical to :func:`accumulate_sum` over the rows: numpy reduces the
+    outer axis of a C-contiguous matrix by adding row after row into the
+    ``initial`` zero.  A single column is the exception — numpy drops the
+    unit axis and would sum it pairwise — so it runs as an in-order
+    accumulate; adding ``0.0`` afterwards turns a ``-0.0`` total into the
+    ``+0.0`` a zero start gives.
+    """
+    rows = np.ascontiguousarray(matrix)
+    if rows.shape[1] == 1:
+        return np.add.accumulate(rows[:, 0])[-1:] + 0.0
+    return np.add.reduce(rows, axis=0, initial=0)
 
 
 def accumulate_sum(arrays) -> np.ndarray:
@@ -106,7 +101,7 @@ def accumulate_sum(arrays) -> np.ndarray:
     O(numel) regardless of how many ranks contribute.  The accumulator dtype
     follows the first array's floating dtype (float64 for non-float inputs),
     so float32 gradients reduce in float32 while the historical float64 path
-    is untouched.  Shared by the raw and payload collective paths and by
+    is untouched.  Used by the raw-array collectives and by
     :func:`repro.compression.base.exact_average`.
     """
     from repro.tensorlib.dtypes import float_dtype_of  # noqa: PLC0415
@@ -143,8 +138,8 @@ def all_reduce(
     Parameters
     ----------
     buffers:
-        One buffer per rank: raw arrays (all the same shape) or element-wise
-        reducible :class:`WirePayload` objects.
+        One raw array per rank (all the same shape), or one world-stacked
+        element-wise reducible :class:`WirePayload`.
     network:
         Cost model; if ``None``, time is reported as ``0`` (useful in unit tests).
     average:
@@ -157,28 +152,31 @@ def all_reduce(
     Returns
     -------
     ``(result, event)`` where ``result`` mirrors the input kind: a dense array
-    for raw arrays, a reduced :class:`WirePayload` (same structure, reduced
-    values) for payloads.
+    for raw arrays, a read-only single :class:`WirePayload` (same structure,
+    reduced values, no world axis) for a payload.
     """
-    if _is_payload_sequence(buffers):
-        payloads: Sequence[WirePayload] = buffers  # type: ignore[assignment]
-        _check_payloads(payloads)
-        world_size = len(payloads)
-        # Lazy generator: only one decoded buffer is live at a time.
-        total = accumulate_sum(payload.reduce_values() for payload in payloads)
+    if _is_payload(buffers):
+        payload: WirePayload = buffers  # type: ignore[assignment]
+        if not payload.reducible:
+            raise ValueError(
+                f"{type(payload).__name__} is not element-wise reducible across ranks; "
+                "aggregate per-rank selections with all_gather instead"
+            )
+        world_size = payload.world_size
+        total = rank_order_sum(payload.reduce_values())
         if average:
             total /= world_size
-        reduced = payloads[0].with_reduced(total)
+        reduced = payload.with_reduced(total).read_only()
 
-        num_bytes = max(payload.nbytes for payload in payloads)
+        num_bytes = payload.nbytes
         time = network.ring_all_reduce_time(num_bytes) if network is not None else 0.0
         event = CollectiveEvent(
             op="all_reduce",
             bytes_per_worker=2.0 * (world_size - 1) / world_size * num_bytes if world_size > 1 else 0.0,
             time_seconds=time,
             world_size=world_size,
-            payload_elements=int(payloads[0].transmitted_elements),
-            metadata={"payload": type(payloads[0]).__name__},
+            payload_elements=int(payload.transmitted_elements),
+            metadata={"payload": type(payload).__name__},
         )
         return reduced, event
 
@@ -206,32 +204,29 @@ def all_gather(
     network: Optional[NetworkModel] = None,
     element_bytes: Optional[float] = None,
 ) -> tuple:
-    """Gather every rank's buffer (or payload) onto every rank.
+    """Gather every rank's buffer (or the world-stacked payload) onto every rank.
 
-    Unlike :func:`all_reduce`, buffers may have *different lengths* (as happens
-    with per-rank top-k selections); the cost model charges the maximum
-    per-rank payload, matching the padded all-gather used in practice.
+    Raw buffers may have *different lengths*; the cost model charges the
+    maximum per-rank buffer, matching the padded all-gather used in practice.
+    A payload is handed on whole, as read-only views of the sender's arrays
+    (they may alias a stage's internal state), so a write raises.
     """
-    world_size = len(buffers)
-    if _is_payload_sequence(buffers):
-        import copy as _copy  # noqa: PLC0415
-
-        payloads: Sequence[WirePayload] = buffers  # type: ignore[assignment]
-        num_bytes = max(payload.nbytes for payload in payloads)
-        max_elements = max(int(p.transmitted_elements) for p in payloads)
+    if _is_payload(buffers):
+        payload: WirePayload = buffers  # type: ignore[assignment]
+        world_size = payload.world_size
+        num_bytes = payload.nbytes
         time = network.all_gather_time(num_bytes) if network is not None else 0.0
         event = CollectiveEvent(
             op="all_gather",
             bytes_per_worker=(world_size - 1) * num_bytes if world_size > 1 else 0.0,
             time_seconds=time,
             world_size=world_size,
-            payload_elements=max_elements,
-            metadata={"payload": type(payloads[0]).__name__},
+            payload_elements=int(payload.transmitted_elements),
+            metadata={"payload": type(payload).__name__},
         )
-        # Independent copies, matching the raw-array path's semantics (the
-        # inputs may hold views into a stage's internal state).
-        return [_copy.deepcopy(payload) for payload in payloads], event
+        return payload.read_only(), event
 
+    world_size = len(buffers)
     gathered = [np.array(b, copy=True) for b in buffers]
     itemsize = element_bytes if element_bytes is not None else buffers[0].dtype.itemsize
     max_elements = max(b.size for b in buffers)
@@ -257,12 +252,9 @@ def broadcast(
     if world_size < 1:
         raise ValueError("world_size must be >= 1")
     if _is_payload(buffer):
-        import copy as _copy  # noqa: PLC0415
-
         num_bytes = buffer.nbytes
-        # Independent replicas, matching the raw-array path's copy semantics
-        # (payload dataclasses are frozen but their ndarray fields are not).
-        replicas: List = [_copy.deepcopy(buffer) for _ in range(world_size)]
+        # Every rank receives the same read-only view of the root's arrays.
+        replicas: List = [buffer.read_only()] * world_size
         payload_elements = int(buffer.num_elements)
         metadata = {"payload": type(buffer).__name__}
     else:

@@ -6,10 +6,11 @@ call collectives through the group so that the experiment driver can later ask
 "how many bytes went over the wire?" and "how much simulated time did gradient
 synchronisation take?" — the two quantities behind every figure in the paper.
 
-Collectives accept either raw numpy arrays (charged per ``element_bytes``) or
-:class:`~repro.compression.codec.payloads.WirePayload` objects, whose wire
-size is derived from the encoded representation (``payload.nbytes``) — the
-path every compressor uses, so the byte log is measured, not asserted.
+Collectives accept either a list of raw per-rank numpy arrays (charged per
+``element_bytes``) or one world-stacked
+:class:`~repro.compression.codec.payloads.WirePayload`, whose wire size is
+derived from the encoded representation (``payload.nbytes``) — the path every
+compressor uses, so the byte log is measured, not asserted.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from repro.comm.collectives import (
     Buffers,
     CollectiveEvent,
+    _is_payload,
     all_gather,
     all_reduce,
     broadcast,
@@ -65,10 +67,11 @@ class ProcessGroup:
         average: bool = True,
         element_bytes: Optional[float] = None,
     ):
-        """Reduce per-rank buffers/payloads; returns the reduced value.
+        """Reduce per-rank buffers or a world-stacked payload.
 
-        Raw arrays reduce to a dense array; payloads reduce to a payload of
-        the same structure carrying the reduced values.
+        Raw arrays reduce to a dense array; a payload reduces along its world
+        axis, in rank order, to a read-only payload of the same structure
+        carrying the reduced values.
         """
         self._check_world(buffers)
         result, event = all_reduce(buffers, self.network, average=average, element_bytes=element_bytes)
@@ -79,7 +82,8 @@ class ProcessGroup:
         self,
         buffers: Buffers,
         element_bytes: Optional[float] = None,
-    ) -> List:
+    ):
+        """Gather per-rank buffers (a list) or a payload (read-only views)."""
         self._check_world(buffers)
         gathered, event = all_gather(buffers, self.network, element_bytes=element_bytes)
         self._log(event)
@@ -101,10 +105,11 @@ class ProcessGroup:
         self._log(event)
         return chunks
 
-    def _check_world(self, buffers: Sequence) -> None:
-        if len(buffers) != self.world_size:
+    def _check_world(self, buffers: Buffers) -> None:
+        count = buffers.world_size if _is_payload(buffers) else len(buffers)
+        if count != self.world_size:
             raise ValueError(
-                f"expected one buffer per rank ({self.world_size}), got {len(buffers)}"
+                f"expected one buffer per rank ({self.world_size}), got {count}"
             )
 
     # ------------------------------------------------------------------ #

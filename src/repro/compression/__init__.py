@@ -44,7 +44,6 @@ from repro.compression.codec import (
     SparsePayload,
     TernaryPayload,
     WirePayload,
-    as_payload,
     parse_codec_spec,
     parse_compressor_spec,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "BitmaskPayload",
     "SignPayload",
     "LowRankPayload",
-    "as_payload",
     "Codec",
     "EncodeContext",
     "Pipeline",

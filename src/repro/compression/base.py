@@ -13,22 +13,26 @@ at the collective layer — compressors no longer self-report byte counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
+from repro.comm.collectives import rank_order_sum
 from repro.compression.codec.payloads import (
     FP16_BYTES,
     FP32_BYTES,
     INDEX_BYTES,
     TERNARY_BYTES,
+    DensePayload,
+    SparsePayload,
     WirePayload,
 )
-from repro.compression.codec.pipeline import Pipeline, as_pipeline
+from repro.compression.codec.pipeline import Pipeline, as_pipeline, dense_gradient
 from repro.compression.codec.stages import Codec, EncodeContext, remap_rank_rows
 from repro.ddp.bucket import GradBucket
 from repro.obs.tracer import NULL_SPAN, TRACER
+from repro.tensorlib.dtypes import as_compute_array, float_dtype_of
 
 #: With tracing enabled, lossy pipelines sample an exact-average NMSE every
 #: this many iterations per bucket (full exact averages every step would
@@ -138,14 +142,16 @@ class CodecCompressor(Compressor):
 
     Per bucket and iteration the driver
 
-    1. **encodes** every rank's flat gradient through the pipeline into a
-       :class:`WirePayload` (stages coordinate shared scalers/selections and
-       charge those collectives themselves);
-    2. **reduces** the payloads with an all-reduce when they are element-wise
-       summable, otherwise **gathers** them — the collective layer charges the
-       network model from ``payload.nbytes``;
-    3. **decodes** back to the dense average gradient, accumulating gathered
-       payloads into one preallocated buffer (peak memory O(numel)).
+    1. **encodes** the bucket's ``(world, numel)`` gradient matrix through
+       the pipeline into one world-stacked :class:`WirePayload` (stages
+       coordinate shared scalers/selections across the world axis and charge
+       those collectives themselves);
+    2. **reduces** it along the world axis, in rank order, with an all-reduce
+       when ranks' encodings are element-wise summable, otherwise **gathers**
+       it — the collective layer charges the network model from the per-rank
+       ``payload.nbytes``;
+    3. **decodes** back to the dense average gradient; gathered sparse
+       selections scatter-add into one buffer (peak memory O(numel)).
 
     With ``error_feedback=True`` the driver additionally keeps one residual
     matrix per bucket — the ``(world_size, numel)`` gradient mass each rank's
@@ -153,9 +159,10 @@ class CodecCompressor(Compressor):
     gradient ``grad + residual`` and, after encoding, the residual is rewritten
     to ``input - decode(own payload)``, so every coordinate a lossy compressor
     drops is retransmitted once the accumulated error grows large enough
-    (EF-SGD, Karimireddy et al., 2019).  The residual buffers are owned by the
-    compressor — never views into the DDP gradient arena — so they survive
-    arena staging and bucket reuse across iterations.
+    (EF-SGD, Karimireddy et al., 2019).  The residual is written in place over
+    the fresh compensated matrix, so it is owned by the compressor — never a
+    view into the DDP gradient arena — and survives arena staging and bucket
+    reuse across iterations.
 
     Subclasses may override :meth:`_pipeline_for` to pick the pipeline
     adaptively per bucket/iteration (PacTrain's stable/fallback switch).
@@ -269,98 +276,108 @@ class CodecCompressor(Compressor):
 
     def aggregate(self, bucket: GradBucket, group: ProcessGroup, iteration: int = 0) -> np.ndarray:
         pipeline = self._pipeline_for(bucket, group, iteration)
-        # Arena-backed buckets hand first-stage matrix consumers (batched
-        # top-k, DGC) the (world, numel) gradients without re-stacking;
-        # list-backed buckets pass None so pipelines that never read the
-        # matrix don't pay for a stack.
-        matrix = bucket.materialized_matrix
-        buffers: Sequence[np.ndarray] = bucket.buffers
-
-        residual: Optional[np.ndarray] = None
-        if self.error_feedback:
-            residual = self._residuals.get(bucket.index)
-            if residual is None or residual.shape != (bucket.world_size, bucket.numel):
-                residual = np.zeros(
-                    (bucket.world_size, bucket.numel), dtype=np.asarray(buffers[0]).dtype
-                )
-            # Compensate: encode grad + residual.  The sum is a fresh matrix —
-            # it must not alias the arena (whose rows are rewritten next step)
-            # nor the residual buffer (rewritten below from these inputs).
-            if matrix is not None:
-                matrix = matrix + residual
-            else:
-                matrix = np.stack(buffers) + residual
-            buffers = list(matrix)
-
-        ctx = EncodeContext(
-            world_size=bucket.world_size,
-            bucket_index=bucket.index,
-            iteration=iteration,
-            group=group,
-            matrix=matrix,
-        )
+        matrix = self._compensated(bucket)
+        ctx = EncodeContext(bucket_index=bucket.index, iteration=iteration, group=group)
         # One guard read for the whole aggregation: when disabled, every span
         # below is the shared NULL_SPAN and no span arguments are built.
         traced = TRACER.enabled
         with TRACER.span(
             "codec/encode", cat="codec", bucket=bucket.index, spec=self.name
         ) if traced else NULL_SPAN:
-            payloads = pipeline.encode_all(buffers, ctx)
-        wire_nbytes = max(payload.nbytes for payload in payloads) if traced else 0
+            batch = pipeline.encode(DensePayload(matrix), ctx)
+        wire_nbytes = batch.nbytes if traced else 0
 
         # Route on the pipeline's static property; the collective layer still
-        # validates per-payload reducibility, so a stage that wrongly claims
+        # validates the payload's reducibility, so a stage that wrongly claims
         # compatibility fails loudly rather than silently gathering.
         reducible = pipeline.allreduce_compatible
         if reducible:
-            if residual is not None:
-                # residual_r = input_r - decode(rank r's own payload): exactly
-                # the gradient mass rank r's encoding dropped this step.
-                for rank, payload in enumerate(payloads):
-                    np.subtract(
-                        buffers[rank], pipeline.decode(payload), out=residual[rank],
-                        casting="unsafe",
-                    )
             with TRACER.span(
                 "codec/reduce", cat="codec", bucket=bucket.index, bytes=int(wire_nbytes)
             ) if traced else NULL_SPAN:
-                reduced = group.all_reduce(payloads, average=True)
+                reduced = group.all_reduce(batch, average=True)
             with TRACER.span(
                 "codec/decode", cat="codec", bucket=bucket.index
             ) if traced else NULL_SPAN:
                 result = pipeline.decode(reduced)
+            own = pipeline.decode_payload(batch) if self.error_feedback else None
         else:
             with TRACER.span(
                 "codec/gather", cat="codec", bucket=bucket.index, bytes=int(wire_nbytes)
             ) if traced else NULL_SPAN:
-                gathered = group.all_gather(payloads)
+                gathered = group.all_gather(batch)
             with TRACER.span(
                 "codec/decode", cat="codec", bucket=bucket.index
             ) if traced else NULL_SPAN:
-                result = None
-                for rank, payload in enumerate(gathered):
-                    decoded = pipeline.decode(payload)
-                    if residual is not None:
-                        # The gathered payloads are per-rank copies of the
-                        # local ones, so the same decode serves both the
-                        # average and the residual update.
-                        np.subtract(buffers[rank], decoded, out=residual[rank], casting="unsafe")
-                    if result is None:
-                        result = np.zeros(bucket.numel, dtype=decoded.dtype)
-                    np.add(result, decoded, out=result)
-                result /= bucket.world_size
+                # The gathered payload views the local one, so its decode is
+                # also every rank's own decode.
+                own = pipeline.decode_payload(gathered)
+                result = _mean_of_rows(own, bucket.world_size)
 
-        if residual is not None:
-            self._residuals[bucket.index] = residual
-        self._record(bucket, payloads, used_allgather=not reducible)
+        self._record(bucket, batch, "all_reduce" if reducible else "all_gather")
         if traced and TRACER.enabled:
-            self._observe(bucket, buffers, result, wire_nbytes, iteration)
+            self._observe(bucket, matrix, result, wire_nbytes, iteration)
+        if self.error_feedback:
+            self._keep_residual(bucket.index, matrix, own)
         return result
+
+    def push(self, bucket: GradBucket, iteration: int = 0) -> Tuple[np.ndarray, float]:
+        """One worker's update with no collective (the asynchronous parameter server).
+
+        Encodes the one-rank ``bucket`` (driver error feedback included),
+        records the aggregation in :attr:`stats` and returns the rank's own
+        decoded gradient with its payload's wire bytes — what the worker
+        pushes and the server applies.
+        """
+        pipeline = self._pipeline_for(bucket, None, iteration)
+        matrix = self._compensated(bucket)
+        ctx = EncodeContext(bucket_index=bucket.index, iteration=iteration)
+        batch = pipeline.encode(DensePayload(matrix), ctx)
+        own = pipeline.decode_payload(batch)
+        # A copy: the dense decode may view the matrix the residual reuses.
+        result = np.array(dense_gradient(own)[0])
+        self._record(bucket, batch, None)
+        if self.error_feedback:
+            self._keep_residual(bucket.index, matrix, own)
+        return result, batch.nbytes
+
+    def _compensated(self, bucket: GradBucket) -> np.ndarray:
+        """The ``(world, numel)`` matrix to encode: ``grad + residual`` under EF.
+
+        The compensated sum is a fresh matrix — it must not alias the arena
+        (whose rows are rewritten next step) — and :meth:`_keep_residual`
+        later rewrites it in place into the next residual.
+        """
+        matrix = bucket.matrix
+        if not self.error_feedback:
+            return matrix
+        residual = self._residuals.get(bucket.index)
+        if residual is None or residual.shape != matrix.shape:
+            residual = np.zeros(matrix.shape, dtype=matrix.dtype)
+        return matrix + residual
+
+    def _keep_residual(self, bucket_index: int, matrix: np.ndarray, own: WirePayload) -> None:
+        """Turn the compensated ``matrix`` into ``input - decode(own payload)``.
+
+        ``own`` is every rank's decoded payload, world-stacked.  A sparse
+        decode only touches its selected coordinates: elsewhere the residual
+        keeps the compensated value, which is what subtracting the zero of a
+        dense decode would leave.
+        """
+        if isinstance(own, SparsePayload):
+            if own.per_rank_indices:
+                selected = np.take_along_axis(matrix, own.indices, axis=1)
+                np.put_along_axis(matrix, own.indices, selected - own.values, axis=1)
+            else:
+                matrix[:, own.indices] = matrix[:, own.indices] - own.values
+        else:
+            np.subtract(matrix, own.values, out=matrix, casting="unsafe")
+        self._residuals[bucket_index] = matrix
 
     def _observe(
         self,
         bucket: GradBucket,
-        buffers: Sequence[np.ndarray],
+        matrix: np.ndarray,
         result: np.ndarray,
         wire_nbytes: float,
         iteration: int,
@@ -380,7 +397,7 @@ class CodecCompressor(Compressor):
         if not self.lossless and iteration % NMSE_SAMPLE_EVERY == 0:
             from repro.metrics.nmse import nmse  # noqa: PLC0415
 
-            value = float(nmse(exact_average(list(buffers)), result))
+            value = float(nmse(exact_average(list(matrix)), result))
             metrics.observe("codec.nmse", value)
             TRACER.instant(
                 "codec/nmse", cat="codec",
@@ -409,19 +426,35 @@ class CodecCompressor(Compressor):
             stage.resize_world(old_ranks, new_ranks, policy)
 
     # ------------------------------------------------------------------ #
-    def _record(
-        self,
-        bucket: GradBucket,
-        payloads: Sequence[WirePayload],
-        used_allgather: bool,
-    ) -> None:
+    def _record(self, bucket: GradBucket, batch: WirePayload, op: Optional[str]) -> None:
+        """Count one aggregation of ``bucket`` and the collective ``op`` it used."""
         self.stats.iterations += 1
         self.stats.raw_bytes += bucket.numel * FP32_BYTES
-        self.stats.wire_bytes += max(payload.nbytes for payload in payloads)
-        if used_allgather:
+        self.stats.wire_bytes += batch.nbytes
+        if op == "all_gather":
             self.stats.allgather_calls += 1
-        else:
+        elif op == "all_reduce":
             self.stats.allreduce_calls += 1
+
+
+def _mean_of_rows(decoded: WirePayload, world_size: int) -> np.ndarray:
+    """Average of a gathered world of decoded payloads, summed rank after rank.
+
+    Sparse selections scatter-add straight into one buffer: ``np.add.at``
+    applies the ``(world, k)`` updates in rank order and each rank's indices
+    are unique, so the sum equals densifying every rank and accumulating —
+    without the ``(world, numel)`` dense decode.
+    """
+    if isinstance(decoded, SparsePayload):
+        total = np.zeros(decoded.numel, dtype=float_dtype_of(np.asarray(decoded.values)))
+        indices = decoded.indices
+        if not decoded.per_rank_indices:
+            indices = np.broadcast_to(indices, decoded.values.shape)
+        np.add.at(total, indices.ravel(), decoded.values.ravel())
+    else:
+        total = rank_order_sum(as_compute_array(decoded.values))
+    total /= world_size
+    return total
 
 
 def exact_average(buffers: List[np.ndarray]) -> np.ndarray:

@@ -33,7 +33,6 @@ from repro.compression.codec.payloads import (
     TERNARY_BYTES,
     TernaryPayload,
     WirePayload,
-    as_payload,
     pack_ternary,
     unpack_ternary,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "BitmaskPayload",
     "SignPayload",
     "LowRankPayload",
-    "as_payload",
     "pack_ternary",
     "unpack_ternary",
     "FP32_BYTES",

@@ -1,9 +1,10 @@
 """Codec pipelines: ordered stage composition plus spec-string parsing.
 
-``Pipeline([TopK(0.01), Ternarize()])`` encodes a flat gradient through every
-stage left-to-right and decodes the (reduced or gathered) payload right-to-left
-back into a dense tensor.  ``parse_codec_spec("topk0.01+terngrad")`` builds the
-same pipeline from the ``+``-separated spec strings used by
+``Pipeline([TopK(0.01), Ternarize()])`` encodes a bucket's ``(world, numel)``
+gradient matrix through every stage left-to-right and decodes the (reduced or
+gathered) payload right-to-left back into a dense tensor.
+``parse_codec_spec("topk0.01+terngrad")`` builds the same pipeline from the
+``+``-separated spec strings used by
 :class:`repro.simulation.experiment.MethodSpec` and the compressor registry.
 """
 
@@ -14,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.compression.codec.payloads import DensePayload, WirePayload, as_payload
+from repro.compression.codec.payloads import DensePayload, SparsePayload, WirePayload
 from repro.tensorlib.dtypes import as_compute_array
 from repro.compression.codec.stages import (
     Codec,
@@ -34,9 +35,9 @@ class Pipeline(Codec):
     """A left-to-right composition of codec stages.
 
     The pipeline is itself a :class:`Codec`, so pipelines nest and ``a + b``
-    concatenates.  ``encode`` / ``encode_all`` start from the raw flat gradient
-    (wrapped into a :class:`DensePayload`); ``decode`` returns the dense
-    ``np.ndarray`` the training loop applies.
+    concatenates.  ``encode`` starts from the raw gradients (a ``(world,
+    numel)`` matrix, wrapped into a :class:`DensePayload`); ``decode`` returns
+    the dense ``np.ndarray`` the training loop applies.
     """
 
     def __init__(self, stages: Sequence[Codec]) -> None:
@@ -68,48 +69,48 @@ class Pipeline(Codec):
     # ------------------------------------------------------------------ #
     # Encode / decode
     # ------------------------------------------------------------------ #
-    def encode_all(
+    def encode(
         self,
-        flats: Sequence[Union[np.ndarray, WirePayload]],
+        batch: Union[np.ndarray, WirePayload],
         ctx: Optional[EncodeContext] = None,
-    ) -> List[WirePayload]:
-        """Encode every rank's flat gradient into its wire payload.
+    ) -> WirePayload:
+        """Encode every rank's gradient through the stages, left to right.
 
-        Stages run strictly in order; each stage first sees all ranks' inputs
-        (:meth:`Codec.prepare`, for shared scalers/selections), then encodes
-        rank by rank.
+        ``batch`` is a world-stacked payload or a ``(world, numel)`` matrix;
+        the result is the world-stacked wire payload.  A 1-D array is one
+        rank's flat gradient: it is encoded as a world of one and that rank's
+        single payload is returned (inspection, tests).
         """
+        if not isinstance(batch, WirePayload):
+            values = as_compute_array(batch)
+            if values.ndim == 1:
+                return self.encode(values[None], ctx).row(0)
+            batch = DensePayload(values)
         if ctx is None:
-            ctx = EncodeContext(world_size=len(flats))
-        payloads = [as_payload(flat) for flat in flats]
+            ctx = EncodeContext()
         for stage in self.stages:
-            stage.prepare(payloads, ctx)
-            payloads = [stage.encode(p, ctx, rank=rank) for rank, p in enumerate(payloads)]
-            # The raw bucket matrix describes the *first* stage's inputs only;
-            # later stages see transformed payloads and must not reuse it.
-            ctx.matrix = None
-        return payloads
+            batch = stage.encode(batch, ctx)
+        return batch
 
-    def encode(self, flat, ctx: Optional[EncodeContext] = None) -> WirePayload:
-        """Encode a single flat gradient (convenience wrapper, world size 1).
+    def decode_payload(self, payload: WirePayload) -> WirePayload:
+        """Run the stages' decodes right to left, stopping short of densifying.
 
-        Runs a fresh single-rank ``prepare`` on every call — intended for
-        stateless use (tests, inspection).  Multi-rank training encodes all
-        ranks together through :meth:`encode_all`; there is deliberately no
-        ``rank`` parameter here, so per-rank misuse fails loudly.
+        The result is a :class:`DensePayload` or a :class:`SparsePayload` —
+        single or world-stacked like the input — so a gathered world of
+        sparse selections can be summed without a dense decode per rank.
         """
-        return self.encode_all([flat], ctx)[0]
+        for stage in reversed(self.stages):
+            payload = stage.decode(payload)
+        if not isinstance(payload, (DensePayload, SparsePayload)):
+            raise TypeError(
+                f"pipeline {self.spec()!r} decoded to {type(payload).__name__}, "
+                "expected a DensePayload or SparsePayload — a stage is missing its decode"
+            )
+        return payload
 
     def decode(self, payload: WirePayload) -> np.ndarray:  # type: ignore[override]
         """Map a payload back to the dense flat gradient it encodes."""
-        for stage in reversed(self.stages):
-            payload = stage.decode(payload)
-        if not isinstance(payload, DensePayload):
-            raise TypeError(
-                f"pipeline {self.spec()!r} decoded to {type(payload).__name__}, "
-                "expected a DensePayload — a stage is missing its decode"
-            )
-        return as_compute_array(payload.values)
+        return dense_gradient(self.decode_payload(payload))
 
     def reset(self) -> None:
         for stage in self.stages:
@@ -117,6 +118,17 @@ class Pipeline(Codec):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Pipeline({self.spec()!r})"
+
+
+def dense_gradient(decoded: WirePayload) -> np.ndarray:
+    """The dense gradient of a decoded payload (one row per rank if stacked).
+
+    The result is handed to the optimiser, which may update it in place, so a
+    read-only collective result is copied.
+    """
+    if isinstance(decoded, SparsePayload):
+        return decoded.densify()
+    return np.require(as_compute_array(decoded.values), requirements="W")
 
 
 def as_pipeline(codec: Union[Codec, Sequence[Codec]]) -> Pipeline:

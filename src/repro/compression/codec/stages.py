@@ -1,24 +1,26 @@
 """Codec stages: composable encode/decode operators over wire payloads.
 
-A :class:`Codec` maps payloads to payloads.  Encoding starts from a
-:class:`~repro.compression.codec.payloads.DensePayload` wrapping one rank's
-flat bucket gradient and may shrink it (sparsify, quantise, cast); decoding
-reverses the chain back to a dense tensor.  Stages compose left-to-right via
+A :class:`Codec` maps payloads to payloads for the whole world at once.
+Encoding starts from a :class:`~repro.compression.codec.payloads.DensePayload`
+wrapping the bucket's ``(world, numel)`` gradient matrix and may shrink it
+(sparsify, quantise, cast); every array that differs per rank keeps the
+leading world axis.  Decoding reverses the chain back to a dense tensor.
+Stages compose left-to-right via
 :class:`~repro.compression.codec.pipeline.Pipeline` — e.g.
 ``Pipeline([TopK(0.01), Ternarize()])`` selects the top 1 % coordinates and
 then ternarises the selected values, which is the paper's prune+TernGrad
 composition (§III.D) expressed as two independent operators.
 
-Cross-rank coordination (shared scalers, shared random selections, batched
-top-k selection across ranks) happens in :meth:`Codec.prepare`, which sees all
-ranks' stage inputs at once and may issue collectives through the encode
-context's process group so the cost model charges them.
+Because a stage sees every rank's input in one call, cross-rank coordination
+(shared scalers, shared random selections, batched top-k selection) is plain
+array code inside :meth:`Codec.encode`; coordination collectives go through
+the encode context's process group so the cost model charges them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -42,28 +44,27 @@ class EncodeContext:
     """Per-aggregation context shared by every stage of a pipeline.
 
     ``group`` is the process group coordination collectives are issued through
-    (``None`` runs codecs standalone, e.g. in unit tests, skipping the
-    collectives but computing the same shared quantities locally).  ``shared``
-    is scratch space where :meth:`Codec.prepare` deposits per-aggregation
-    results (selections, scalers) for the subsequent ``encode`` calls.
+    (``None`` runs codecs standalone — unit tests, a parameter-server worker
+    pushing alone — skipping the collectives but computing the same shared
+    quantities locally).
     """
 
-    world_size: int = 1
     bucket_index: int = 0
     iteration: int = 0
     group: Optional[object] = None
-    shared: Dict = field(default_factory=dict)
-    #: The raw ``(world_size, numel)`` gradient matrix for this bucket, when
-    #: the caller (the codec driver over an arena-backed bucket) already holds
-    #: one.  Consumed by the *first* stage of a pipeline — whose inputs are by
-    #: construction the matrix's rows — to skip the ``np.stack`` re-pack; the
-    #: pipeline clears it before later stages run.  Stages must treat it as
-    #: read-only.
-    matrix: Optional[object] = None
 
 
 class Codec:
-    """One encode/decode stage of a compression pipeline."""
+    """One encode/decode stage of a compression pipeline.
+
+    ``encode(batch, ctx)`` receives the upstream payload of *every* rank —
+    world-stacked, row *r* belonging to rank *r* — and returns the encoded
+    world-stacked payload.  Inputs may alias the DDP gradient arena, so a
+    stage must never write to them.  ``decode`` maps a payload (a reduced
+    one, or a world-stacked one) back towards the dense gradient; stages
+    whose payload the pipeline densifies itself (sparse selections) keep the
+    default pass-through.
+    """
 
     name: str = "codec"
     #: Whether encoded payloads from different ranks are element-wise summable.
@@ -71,14 +72,11 @@ class Codec:
     #: Whether decode(encode(x)) == x exactly.
     lossless: bool = False
 
-    def prepare(self, inputs: List[WirePayload], ctx: EncodeContext) -> None:
-        """Cross-rank coordination before encoding (default: none)."""
-
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
+    def encode(self, batch: WirePayload, ctx: EncodeContext) -> WirePayload:
         raise NotImplementedError
 
     def decode(self, payload: WirePayload) -> WirePayload:
-        raise NotImplementedError
+        return payload
 
     def reset(self) -> None:
         """Clear per-bucket state (error feedback, momentum, RNG)."""
@@ -107,24 +105,14 @@ class Codec:
         return f"{type(self).__name__}({self.spec()!r})"
 
 
-def _dense_input(payload: WirePayload, stage: str) -> np.ndarray:
-    if not isinstance(payload, DensePayload):
+def _dense_input(batch: WirePayload, stage: str) -> np.ndarray:
+    """The ``(world, numel)`` matrix of a stage's dense world-stacked input."""
+    if not isinstance(batch, DensePayload):
         raise TypeError(
             f"{stage} must be the first stage of a pipeline (it selects dense "
-            f"coordinates), got upstream payload {type(payload).__name__}"
+            f"coordinates), got upstream payload {type(batch).__name__}"
         )
-    return as_compute_array(payload.values)
-
-
-def _stacked_inputs(inputs: List[WirePayload], ctx: EncodeContext, stage: str) -> np.ndarray:
-    """The ``(world, numel)`` matrix of a stage's dense inputs.
-
-    Uses the bucket's arena matrix directly when the encode context carries
-    one (zero-copy); otherwise stacks the per-rank payload values.
-    """
-    if ctx.matrix is not None:
-        return ctx.matrix
-    return np.stack([_dense_input(p, stage) for p in inputs])
+    return as_compute_array(batch.values)
 
 
 # --------------------------------------------------------------------------- #
@@ -192,11 +180,8 @@ class Identity(Codec):
     name = "fp32"
     lossless = True
 
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
-        return payload
-
-    def decode(self, payload: WirePayload) -> WirePayload:
-        return payload
+    def encode(self, batch: WirePayload, ctx: EncodeContext) -> WirePayload:
+        return batch
 
 
 class Half(Codec):
@@ -205,22 +190,17 @@ class Half(Codec):
     name = "fp16"
     lossless = False
 
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
-        if isinstance(payload, DensePayload):
-            return HalfPayload(payload.values.astype(np.float16))
-        if isinstance(payload, SparsePayload):
+    def encode(self, batch: WirePayload, ctx: EncodeContext) -> WirePayload:
+        if isinstance(batch, DensePayload):
+            return HalfPayload(batch.values.astype(np.float16))
+        if isinstance(batch, SparsePayload):
             # Round-trip through fp16 (the wire precision), back to the
             # payload's own compute dtype — no float64 leak on the f32 path.
-            halved = payload.values.astype(np.float16).astype(
-                float_dtype_of(np.asarray(payload.values))
+            halved = batch.values.astype(np.float16).astype(
+                float_dtype_of(np.asarray(batch.values))
             )
-            return SparsePayload(
-                payload.indices, halved, payload.numel,
-                value_bytes=FP16_BYTES,
-                indices_on_wire=payload.indices_on_wire,
-                shared_selection=payload.shared_selection,
-            )
-        raise TypeError(f"cannot cast {type(payload).__name__} to fp16")
+            return replace(batch, values=halved, value_bytes=FP16_BYTES)
+        raise TypeError(f"cannot cast {type(batch).__name__} to fp16")
 
     def decode(self, payload: WirePayload) -> WirePayload:
         if isinstance(payload, HalfPayload):
@@ -256,8 +236,8 @@ class TopK(Codec):
     ) -> None:
         remap_rank_rows(self._residuals, old_ranks, new_ranks, policy)
 
-    def prepare(self, inputs: List[WirePayload], ctx: EncodeContext) -> None:
-        matrix = _stacked_inputs(inputs, ctx, "TopK")
+    def encode(self, batch: WirePayload, ctx: EncodeContext) -> WirePayload:
+        matrix = _dense_input(batch, "TopK")
         numel = matrix.shape[1]
         k = max(1, int(round(numel * self.ratio)))
 
@@ -274,19 +254,9 @@ class TopK(Codec):
             np.put_along_axis(residual, indices, 0.0, axis=1)
             self._residuals[ctx.bucket_index] = residual
 
-        ctx.shared[id(self)] = (indices, values, numel)
-
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
-        indices, values, numel = ctx.shared[id(self)]
         return SparsePayload(
-            indices[rank], values[rank], numel,
-            indices_on_wire=True, shared_selection=False,
+            indices, values, numel, indices_on_wire=True, shared_selection=False,
         )
-
-    def decode(self, payload: WirePayload) -> WirePayload:
-        if isinstance(payload, SparsePayload):
-            return DensePayload(payload.densify())
-        return payload
 
 
 class RandomK(Codec):
@@ -303,27 +273,22 @@ class RandomK(Codec):
         self.rescale = rescale
         self.name = f"randomk{ratio:g}"
 
-    def prepare(self, inputs: List[WirePayload], ctx: EncodeContext) -> None:
-        numel = inputs[0].num_elements
+    def encode(self, batch: WirePayload, ctx: EncodeContext) -> WirePayload:
+        matrix = _dense_input(batch, "RandomK")
+        numel = matrix.shape[1]
         k = max(1, int(round(numel * self.ratio)))
         rng = np.random.default_rng(self.seed + 1_000_003 * ctx.bucket_index + ctx.iteration)
-        ctx.shared[id(self)] = (rng.choice(numel, size=k, replace=False), numel)
-
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
-        indices, numel = ctx.shared[id(self)]
-        values = _dense_input(payload, "RandomK")[indices]
+        indices = rng.choice(numel, size=k, replace=False)
         return SparsePayload(
-            indices, values, numel,
+            indices, np.take(matrix, indices, axis=1), numel,
             indices_on_wire=False, shared_selection=True,
         )
 
     def decode(self, payload: WirePayload) -> WirePayload:
-        if isinstance(payload, SparsePayload):
-            dense = payload.densify()
-            if self.rescale and payload.values.size:
-                # Unbiased estimate of the dense average gradient.
-                dense *= payload.numel / payload.values.size
-            return DensePayload(dense)
+        k = payload.values.shape[-1] if isinstance(payload, SparsePayload) else 0
+        if self.rescale and k:
+            # Unbiased estimate of the dense average gradient.
+            return replace(payload, values=payload.values * (payload.numel / k))
         return payload
 
 
@@ -351,32 +316,29 @@ class MaskCompact(Codec):
     def reset(self) -> None:
         self._indices.clear()
 
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
+    def encode(self, batch: WirePayload, ctx: EncodeContext) -> WirePayload:
         indices = self._indices.get(ctx.bucket_index)
         if indices is None:
             raise RuntimeError(
                 f"MaskCompact has no mask for bucket {ctx.bucket_index}; call set_mask first"
             )
-        values = _dense_input(payload, "MaskCompact")
+        matrix = _dense_input(batch, "MaskCompact")
         return SparsePayload(
-            indices, values[indices], values.size,
+            indices, np.take(matrix, indices, axis=1), matrix.shape[1],
             indices_on_wire=False, shared_selection=True,
         )
-
-    def decode(self, payload: WirePayload) -> WirePayload:
-        if isinstance(payload, SparsePayload):
-            return DensePayload(payload.densify())
-        return payload
 
 
 class Ternarize(Codec):
     """TernGrad stochastic ternary quantisation (Wen et al., 2017).
 
-    ``prepare`` clips each rank's values (±``clip_sigma`` standard deviations),
-    agrees on the shared scale ``s = max_r max_i |v_i|`` — modeled as a tiny
-    one-element all-reduce, charged to the network — and ``encode`` rounds each
-    value to ``s * {-1, 0, +1}`` with probability ``|v| / s``, which keeps the
-    quantised gradient unbiased in expectation (the paper's Eq. (3)).
+    ``encode`` clips each rank's values (±``clip_sigma`` of that rank's
+    standard deviation), agrees on the shared scale ``s = max_r max_i |v_i|``
+    — modeled as a tiny one-element all-reduce, charged to the network — and
+    rounds each value to ``s * {-1, 0, +1}`` with probability ``|v| / s``,
+    which keeps the quantised gradient unbiased in expectation (the paper's
+    Eq. (3)).  One ``(world, k)`` draw feeds every rank's rounding, the same
+    stream as ``world`` sequential per-rank draws.
     """
 
     lossless = False
@@ -391,12 +353,14 @@ class Ternarize(Codec):
         self._rng = np.random.default_rng(self.seed)
 
     def _clip(self, values: np.ndarray) -> np.ndarray:
-        if self.clip_sigma is None or values.size == 0:
+        """Clip every row to ±``clip_sigma`` of its own standard deviation."""
+        if self.clip_sigma is None or values.shape[1] == 0:
             return values
-        sigma = float(np.std(values))
-        if sigma == 0.0:
-            return values
-        bound = self.clip_sigma * sigma
+        sigma = np.std(values, axis=1, keepdims=True)
+        # The bound is formed in float64 and rounded to the value dtype, as a
+        # Python-float bound would be; constant rows (sigma == 0) stay as-is.
+        bound = (self.clip_sigma * sigma.astype(np.float64)).astype(values.dtype)
+        bound[sigma == 0.0] = np.inf
         return np.clip(values, -bound, bound)
 
     @staticmethod
@@ -407,40 +371,31 @@ class Ternarize(Codec):
             return payload.reduce_values()
         raise TypeError(f"cannot ternarise {type(payload).__name__}")
 
-    def prepare(self, inputs: List[WirePayload], ctx: EncodeContext) -> None:
-        clipped = [self._clip(self._values_of(p)) for p in inputs]
-        if all(values.size == 0 for values in clipped):
-            ctx.shared[id(self)] = (clipped, 0.0)
-            return
-        maxima = [float(np.max(np.abs(v))) if v.size else 0.0 for v in clipped]
-        if ctx.group is not None:
-            # Scaler agreement: one fp32 scalar per rank, max-reduced.  The
-            # collective is issued for its modeled cost; the shared maximum is
-            # computed locally (the simulation holds every rank in-process).
-            ctx.group.all_reduce(
-                [DensePayload(np.array([m])) for m in maxima], average=False
-            )
-        ctx.shared[id(self)] = (clipped, max(maxima))
-
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
-        clipped, scale = ctx.shared[id(self)]
-        values = clipped[rank]
+    def encode(self, batch: WirePayload, ctx: EncodeContext) -> WirePayload:
+        values = self._clip(self._values_of(batch))
+        scale = 0.0
+        if values.shape[1]:
+            maxima = np.max(np.abs(values), axis=1)
+            if ctx.group is not None:
+                # Scaler agreement: one fp32 scalar per rank, max-reduced.  The
+                # collective is issued for its modeled cost; the shared maximum
+                # is computed locally (the simulation holds every rank
+                # in-process).
+                ctx.group.all_reduce(DensePayload(maxima[:, None]), average=False)
+            scale = max(maxima.tolist())
         if scale == 0.0:
-            codes = np.zeros(values.size, dtype=np.int8)
+            codes = np.zeros(values.shape, dtype=np.int8)
         else:
             probability = np.clip(np.abs(values) / scale, 0.0, 1.0)
             keep = self._rng.random(values.shape) < probability
             codes = (np.sign(values) * keep).astype(np.int8)
-        if isinstance(payload, SparsePayload):
-            return SparsePayload(
-                payload.indices,
-                scale * codes.astype(float_dtype_of(np.asarray(payload.values))),
-                payload.numel,
+        if isinstance(batch, SparsePayload):
+            return replace(
+                batch,
+                values=scale * codes.astype(float_dtype_of(np.asarray(batch.values))),
                 value_bytes=TERNARY_BYTES,
-                indices_on_wire=payload.indices_on_wire,
-                shared_selection=payload.shared_selection,
             )
-        return TernaryPayload(packed=pack_ternary(codes), scale=scale, size=values.size)
+        return TernaryPayload(packed=pack_ternary(codes), scale=scale, size=values.shape[1])
 
     def decode(self, payload: WirePayload) -> WirePayload:
         if isinstance(payload, TernaryPayload):
@@ -463,8 +418,8 @@ class Sign(Codec):
     allreduce_compatible = True
     lossless = False
 
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
-        return SignPayload.from_values(_dense_input(payload, "Sign"))
+    def encode(self, batch: WirePayload, ctx: EncodeContext) -> WirePayload:
+        return SignPayload.from_values(_dense_input(batch, "Sign"))
 
     def decode(self, payload: WirePayload) -> WirePayload:
         if isinstance(payload, SignPayload):
@@ -548,8 +503,8 @@ class LowRank(Codec):
         rng = np.random.default_rng(self.seed + 1_000_003 * bucket_index)
         return orthonormalize(rng.standard_normal((n, rank)).astype(dtype, copy=False))
 
-    def prepare(self, inputs: List[WirePayload], ctx: EncodeContext) -> None:
-        stacked = _stacked_inputs(inputs, ctx, "LowRank")
+    def encode(self, batch: WirePayload, ctx: EncodeContext) -> WirePayload:
+        stacked = _dense_input(batch, "LowRank")
         world, numel = stacked.shape
         m, n = self.matrix_shape(numel)
         rank = min(self.rank, m, n)
@@ -584,11 +539,7 @@ class LowRank(Codec):
         if np.any(dead):
             q_next[:, dead] = self._initial_q(n, rank, ctx.bucket_index, dtype)[:, dead]
         self._q_prev[ctx.bucket_index] = q_next
-        ctx.shared[id(self)] = (p_hat, q_factors, numel)
-
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
-        p_hat, q_factors, numel = ctx.shared[id(self)]
-        return LowRankPayload(p=p_hat, q=q_factors[rank], numel=numel)
+        return LowRankPayload(p=p_hat, q=q_factors, numel=numel)
 
     def decode(self, payload: WirePayload) -> WirePayload:
         if isinstance(payload, LowRankPayload):
@@ -650,8 +601,8 @@ class DGCSelect(Codec):
         factors = np.where(norms > self.clip_norm, self.clip_norm / np.maximum(norms, 1e-30), 1.0)
         return matrix * factors
 
-    def prepare(self, inputs: List[WirePayload], ctx: EncodeContext) -> None:
-        matrix = self._clip_rows(_stacked_inputs(inputs, ctx, "DGC"))
+    def encode(self, batch: WirePayload, ctx: EncodeContext) -> WirePayload:
+        matrix = self._clip_rows(_dense_input(batch, "DGC"))
         numel = matrix.shape[1]
         k = max(1, int(round(numel * self.ratio)))
 
@@ -677,16 +628,6 @@ class DGCSelect(Codec):
         self._momentum[ctx.bucket_index] = momentum
         self._accum[ctx.bucket_index] = accum
 
-        ctx.shared[id(self)] = (indices, values, numel)
-
-    def encode(self, payload: WirePayload, ctx: EncodeContext, rank: int = 0) -> WirePayload:
-        indices, values, numel = ctx.shared[id(self)]
         return SparsePayload(
-            indices[rank], values[rank], numel,
-            indices_on_wire=True, shared_selection=False,
+            indices, values, numel, indices_on_wire=True, shared_selection=False,
         )
-
-    def decode(self, payload: WirePayload) -> WirePayload:
-        if isinstance(payload, SparsePayload):
-            return DensePayload(payload.densify())
-        return payload

@@ -159,16 +159,6 @@ class GradBucket:
             self._matrix = np.stack(self._buffers)
         return self._matrix
 
-    @property
-    def materialized_matrix(self) -> Optional[np.ndarray]:
-        """The matrix if one already exists (arena-backed buckets), else None.
-
-        Lets consumers offer the zero-copy matrix to stages that want it
-        without forcing a stack on list-backed buckets whose pipeline may
-        never read it.
-        """
-        return self._matrix
-
     def buffer(self, rank: int = 0) -> np.ndarray:
         """Flat gradient of one rank."""
         return self._buffers[rank]

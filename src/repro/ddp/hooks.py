@@ -49,9 +49,9 @@ class HookState:
 
 def allreduce_hook(state: HookState, bucket: GradBucket) -> np.ndarray:
     """Native fp32 ring all-reduce — the paper's "all-reduce" baseline."""
-    payloads = [DensePayload(buf) for buf in bucket.buffers]
-    reduced = state.process_group.all_reduce(payloads, average=True)
-    return reduced.reduce_values()
+    reduced = state.process_group.all_reduce(DensePayload(bucket.matrix), average=True)
+    # The reduced payload is read-only; the optimiser may update the result.
+    return np.array(reduced.values)
 
 
 class CompressorHook:

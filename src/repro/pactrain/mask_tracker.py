@@ -127,17 +127,16 @@ class MaskTracker:
     def update_from_rank_gradients(self, bucket_index: int, flat_gradients, atol: float = 0.0) -> MaskState:
         """Union the non-zero patterns of all ranks' gradients and update.
 
-        GSE makes per-rank patterns identical in theory; taking the union makes
-        the compressor robust to any rank-local deviation (e.g. a coordinate
-        that happens to be exactly zero on one rank), preserving losslessness.
+        ``flat_gradients`` is the bucket's ``(world, numel)`` matrix (or any
+        sequence of per-rank flat gradients).  GSE makes per-rank patterns
+        identical in theory; taking the union makes the compressor robust to
+        any rank-local deviation (e.g. a coordinate that happens to be exactly
+        zero on one rank), preserving losslessness.
         """
-        union: Optional[np.ndarray] = None
-        for flat in flat_gradients:
-            pattern = np.abs(np.asarray(flat).reshape(-1)) > atol
-            union = pattern if union is None else (union | pattern)
-        if union is None:
+        matrix = np.asarray(flat_gradients)
+        if matrix.ndim == 0 or len(matrix) == 0:
             raise ValueError("update_from_rank_gradients needs at least one gradient")
-        return self.update(bucket_index, union)
+        return self.update(bucket_index, (np.abs(matrix) > atol).any(axis=0))
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -19,12 +19,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.comm.process_group import ProcessGroup
-from repro.compression.base import FP32_BYTES, CodecCompressor, Compressor
-from repro.compression.codec import EncodeContext
+from repro.compression.base import CodecCompressor, Compressor
 from repro.compression.registry import build_compressor
 from repro.data import DataLoader, DistributedSampler, make_dataset, train_test_split
 from repro.ddp import DistributedDataParallel, StepResult
-from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES
+from repro.ddp.bucket import DEFAULT_BUCKET_CAP_BYTES, GradBucket
 from repro.nn import SGD
 from repro.nn.models import build_model
 from repro.nn.module import Module
@@ -841,15 +840,13 @@ class _TrainingRun:
         # Per-worker codec pipelines: stage state (low-rank warm starts, stage
         # seeds) and error-feedback residuals must not be shared across workers
         # pushing at different versions.  Worker 0 reuses the run's instance,
-        # which doubles as the run's stats carrier.
+        # whose stats every worker records into.
         worker_codecs: List[CodecCompressor] = [compressor] + [
             self.method.build_compressor(seed=self.seed) for _ in range(1, world_size)
         ]
-        driver_ef = compressor.error_feedback
+        for codec in worker_codecs[1:]:
+            codec.stats = compressor.stats
         buckets = ddp.buckets
-        residuals: List[List[Optional[np.ndarray]]] = [
-            [None] * len(buckets) for _ in range(world_size)
-        ]
 
         heap = EventHeap()
         channel = LinkChannel()
@@ -917,32 +914,15 @@ class _TrainingRun:
                 loss_value, grads = ddp.compute_local_gradients(
                     batch, F.cross_entropy, copy=False
                 )
-                codec = worker_codecs[rank]
                 decoded: List[np.ndarray] = []
                 payload_bytes = 0.0
                 for bucket in buckets:
-                    flat = bucket.flatten(grads)
-                    res = residuals[rank][bucket.index]
-                    if driver_ef:
-                        if res is None:
-                            res = residuals[rank][bucket.index] = np.zeros_like(flat)
-                        np.add(flat, res, out=flat)  # flatten returned a fresh buffer
-                    context = EncodeContext(
-                        world_size=1,
-                        bucket_index=bucket.index,
+                    out, nbytes = worker_codecs[rank].push(
+                        GradBucket(bucket, matrix=bucket.flatten(grads)[None]),
                         iteration=update_index,
                     )
-                    payload = codec.pipeline.encode_all([flat], context)[0]
-                    out = codec.pipeline.decode(payload)
-                    if driver_ef:
-                        residuals[rank][bucket.index] = flat - out
-                    payload_bytes += float(payload.nbytes)
+                    payload_bytes += float(nbytes)
                     decoded.append(out)
-                    # Mirror CodecCompressor._record on the shared stats carrier:
-                    # one aggregation of this bucket, fp32 raw bytes, wire bytes.
-                    compressor.stats.iterations += 1
-                    compressor.stats.raw_bytes += bucket.numel * FP32_BYTES
-                    compressor.stats.wire_bytes += float(payload.nbytes)
                 compute_seconds = self.per_rank_compute[rank]
                 state.update(
                     decoded=decoded,

@@ -84,9 +84,10 @@ def default_dtype(dtype: DTypeLike) -> Iterator[np.dtype]:
 
 def float_dtype_of(array: np.ndarray) -> np.dtype:
     """The compute dtype implied by an array: its own when it is a supported
-    float dtype, the process default otherwise (ints, bools, float16)."""
+    float dtype (4- or 8-byte floats, either byte order), the process default
+    otherwise (ints, bools, float16, longdouble)."""
     dtype = array.dtype
-    if dtype.name in SUPPORTED_DTYPES:
+    if dtype.kind == "f" and dtype.itemsize in (4, 8):
         return dtype
     return _DEFAULT_DTYPE
 

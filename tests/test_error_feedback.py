@@ -180,11 +180,11 @@ class TestResidualInvariant:
         compressor.aggregate(make_bucket(buffers), ProcessGroup(world))
 
         twin = Pipeline([LowRank(rank=2, seed=3)])
-        payloads = twin.encode_all([b.copy() for b in buffers])
+        batch = twin.encode(np.stack(buffers))
         residual = compressor.residual(0)
         assert residual is not None and residual.shape == (world, numel)
         for rank in range(world):
-            decoded = twin.decode(payloads[rank])
+            decoded = twin.decode(batch.row(rank))
             np.testing.assert_array_equal(residual[rank], buffers[rank] - decoded)
 
     def test_mean_residual_closes_the_aggregate(self):

@@ -37,6 +37,7 @@ from repro.pruning import PruningMask
 from repro.simulation import ExperimentConfig, MethodSpec, PAPER_METHODS, run_experiment
 from repro.simulation.experiment import _WeightSparsityCache
 from repro.tensorlib import Tensor, default_dtype, functional as F, get_default_dtype
+from repro.tensorlib.dtypes import SUPPORTED_DTYPES, float_dtype_of
 
 
 def tiny_config(dtype: str = "float64", **overrides) -> ExperimentConfig:
@@ -260,8 +261,8 @@ class TestPayloadDtypes:
             rng = np.random.default_rng(seed)
             flats = [rng.standard_normal(32).astype(dtype) for _ in range(2)]
             pipeline = parse_codec_spec(spec, seed=0)
-            payloads = pipeline.encode_all(flats)
-            decoded = pipeline.decode(payloads[0])
+            batch = pipeline.encode(np.stack(flats))
+            decoded = pipeline.decode(batch.row(0))
             assert decoded.dtype == np.dtype(dtype)
             assert decoded.shape == (32,)
 
@@ -280,6 +281,28 @@ class TestPayloadDtypes:
 # --------------------------------------------------------------------------- #
 # Bounded event log + lifetime aggregates
 # --------------------------------------------------------------------------- #
+class TestFloatDtypeOf:
+    DTYPES = [
+        "<f4", ">f4", "<f8", ">f8", np.float16, np.longdouble,
+        np.int8, np.int32, np.int64, np.uint8, np.bool_, np.complex64, np.complex128,
+    ]
+
+    @pytest.mark.parametrize("default", ["float32", "float64"])
+    @pytest.mark.parametrize("dtype", DTYPES, ids=str)
+    def test_matches_the_supported_name_lookup(self, default, dtype):
+        """4- and 8-byte floats (either byte order) keep their own dtype;
+        everything else — float16, longdouble, ints, bools, complex — falls
+        back to the process default, exactly as a name lookup decides."""
+        dtype = np.dtype(dtype)
+        with default_dtype(default):
+            expected = dtype if dtype.name in SUPPORTED_DTYPES else np.dtype(default)
+            got = float_dtype_of(np.zeros(3, dtype=dtype))
+            assert got == expected
+            assert got.byteorder == expected.byteorder
+        if dtype.kind == "f" and dtype.itemsize in (4, 8):
+            assert got == dtype
+
+
 class TestEventDraining:
     def test_event_log_stays_bounded_across_steps(self, tiny_model):
         ddp = DistributedDataParallel(tiny_model, world_size=2)

@@ -288,7 +288,7 @@ class TestCodecRoundTripProperties:
     def test_dense_payload_all_reduce_equals_exact_average(self, world, numel, seed):
         rng = np.random.default_rng(seed)
         buffers = [rng.standard_normal(numel) for _ in range(world)]
-        reduced, event = all_reduce([DensePayload(b) for b in buffers], average=True)
+        reduced, event = all_reduce(DensePayload(np.stack(buffers)), average=True)
         np.testing.assert_array_equal(reduced.reduce_values(), exact_average(buffers))
         assert event.metadata["payload"] == "DensePayload"
 
@@ -333,10 +333,10 @@ class TestSignPayloadProperties:
     def test_majority_vote_aggregate_is_sign_of_summed_codes(self, world, numel, seed):
         rng = np.random.default_rng(seed)
         buffers = [rng.standard_normal(numel) for _ in range(world)]
-        payloads = [SignPayload.from_values(b) for b in buffers]
-        reduced, _ = all_reduce(payloads, average=True)
-        codes = np.stack([p.codes() for p in payloads])
-        expected = np.mean([p.scale for p in payloads]) * np.sign(codes.sum(axis=0))
+        batch = SignPayload.from_values(np.stack(buffers))
+        reduced, _ = all_reduce(batch, average=True)
+        codes = batch.codes()
+        expected = np.mean(batch.scale) * np.sign(codes.sum(axis=0))
         np.testing.assert_allclose(reduced.values, expected, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
