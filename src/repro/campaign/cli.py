@@ -440,7 +440,7 @@ def cmd_golden(args: argparse.Namespace) -> int:
     # against the committed fixtures must stay bit-identical while traced.
     _start_trace(args.trace)
     try:
-        drifted = golden.verify(args.dir, rtol=args.rtol, only=args.only)
+        drifted = golden.verify(args.dir, only=args.only)
     except KeyError as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
@@ -452,9 +452,8 @@ def cmd_golden(args: argparse.Namespace) -> int:
         return 1
     if not args.quiet:
         directory = args.dir or golden.DEFAULT_GOLDEN_DIR
-        how = "bit-identically" if args.rtol == 0.0 else f"within rtol={args.rtol:g}"
         count = len(args.only) if args.only else len(golden.GOLDEN_METHODS)
-        print(f"all {count} golden traces match {directory} {how}")
+        print(f"all {count} golden traces match {directory} bit-identically")
     return 0
 
 
@@ -612,9 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rewrite the fixtures from fresh runs instead of verifying")
     golden.add_argument("--dir", default=None,
                         help="fixture directory (default: tests/golden)")
-    golden.add_argument("--rtol", type=float, default=0.0,
-                        help="relative tolerance for verification "
-                             "(default 0.0 = bit-identical)")
     golden.add_argument("--only", nargs="+", default=None, metavar="METHOD",
                         help="verify (or with --update, rewrite) only these "
                              "golden methods (default: all of them)")

@@ -28,7 +28,6 @@ explains them.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -167,24 +166,25 @@ def trace_from_result(
     }
 
 
-def _float_equal(expected, actual, rtol: float) -> bool:
-    if isinstance(expected, float) or isinstance(actual, float):
-        expected_f, actual_f = float(expected), float(actual)
-        if math.isnan(expected_f) and math.isnan(actual_f):
-            return True
-        if rtol == 0.0:
-            return expected_f == actual_f
-        return math.isclose(expected_f, actual_f, rel_tol=rtol, abs_tol=rtol)
-    return expected == actual
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _compare_value(path: str, expected, actual, rtol: float, diffs: List[str]) -> None:
+def _scalar_equal(expected, actual) -> bool:
+    """Exact leaf equality: numbers by value (NaN equals NaN), anything else
+    by ``==`` within one type, so ``None``/str/bool never match a number."""
+    if _is_number(expected) and _is_number(actual):
+        return expected == actual or (expected != expected and actual != actual)
+    return type(expected) is type(actual) and expected == actual
+
+
+def _compare_value(path: str, expected, actual, diffs: List[str]) -> None:
     if isinstance(expected, list) and isinstance(actual, list):
         if len(expected) != len(actual):
             diffs.append(f"{path}: length {len(expected)} -> {len(actual)}")
             return
         for index, (exp, act) in enumerate(zip(expected, actual)):
-            _compare_value(f"{path}[{index}]", exp, act, rtol, diffs)
+            _compare_value(f"{path}[{index}]", exp, act, diffs)
         return
     if isinstance(expected, dict) and isinstance(actual, dict):
         for key in sorted(set(expected) | set(actual)):
@@ -193,9 +193,9 @@ def _compare_value(path: str, expected, actual, rtol: float, diffs: List[str]) -
             elif key not in actual:
                 diffs.append(f"{path}.{key}: missing (expected {expected[key]!r})")
             else:
-                _compare_value(f"{path}.{key}", expected[key], actual[key], rtol, diffs)
+                _compare_value(f"{path}.{key}", expected[key], actual[key], diffs)
         return
-    if not _float_equal(expected, actual, rtol):
+    if not _scalar_equal(expected, actual):
         diffs.append(f"{path}: expected {expected!r}, got {actual!r}")
 
 
@@ -213,29 +213,26 @@ def _canonical_spec(data, cls) -> Dict:
     return cls.from_dict(data).to_dict()
 
 
-def compare_traces(expected: Dict, actual: Dict, rtol: float = 0.0) -> List[str]:
+def compare_traces(expected: Dict, actual: Dict) -> List[str]:
     """Field-by-field diff of two trace dicts; empty when identical.
 
-    ``rtol=0.0`` (the default, and what the regression test uses) demands
-    bit-identical floats.  A non-zero tolerance is available for
-    cross-platform comparisons where BLAS rounding may differ in the last ulp.
+    The comparison is exact: floats must be bit-identical and a value that
+    changes type (a number becoming ``None``, a string or a bool) is a diff.
     """
     diffs: List[str] = []
-    _compare_value("trace", expected.get("trace"), actual.get("trace"), rtol, diffs)
+    _compare_value("trace", expected.get("trace"), actual.get("trace"), diffs)
     # The frozen spec must match too: a fixture regenerated under a different
     # tiny config would otherwise "pass" while freezing a different workload.
     _compare_value(
         "method_spec",
         _canonical_spec(expected.get("method_spec"), MethodSpec),
         _canonical_spec(actual.get("method_spec"), MethodSpec),
-        0.0,
         diffs,
     )
     _compare_value(
         "config",
         _canonical_spec(expected.get("config"), ExperimentConfig),
         _canonical_spec(actual.get("config"), ExperimentConfig),
-        0.0,
         diffs,
     )
     return diffs
@@ -305,7 +302,6 @@ def regenerate(
 
 def verify(
     directory: Optional[str] = None,
-    rtol: float = 0.0,
     only: Optional[List[str]] = None,
 ) -> Dict[str, List[str]]:
     """Re-run every golden cell (or the ``only`` subset) against its fixture.
@@ -327,7 +323,7 @@ def verify(
         except FileNotFoundError as error:
             drifted[name] = [str(error)]
             continue
-        diffs = compare_traces(expected, compute_trace(method), rtol=rtol)
+        diffs = compare_traces(expected, compute_trace(method))
         if diffs:
             drifted[name] = diffs
     return drifted

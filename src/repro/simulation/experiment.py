@@ -218,8 +218,8 @@ class ExperimentConfig:
     execution: str = "batched"
     #: Array backend for the tensor kernels (``repro.tensorlib.backend``):
     #: ``None`` keeps the process-wide default (``REPRO_BACKEND`` env or
-    #: numpy); ``"numba"``/``"torch"``/``"cupy"`` opt into accelerated
-    #: kernels, degrading to numpy with a warning when the library is absent.
+    #: numpy); ``"numba"`` opts into the JIT kernels, degrading to numpy
+    #: with a warning when numba is absent.
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:

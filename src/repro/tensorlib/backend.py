@@ -21,18 +21,10 @@ execution strategy varies):
   JIT kernel against the numpy reference on random inputs and silently falls
   back to numpy for any kernel that is not bit-identical on this platform, so
   selecting numba can change speed but never results.
-* :class:`TorchBackend` / :class:`CupyBackend` — adapters over optional
-  GPU-capable libraries routing the full conv/pool/norm kernel set.  Each
-  kernel call converts its operands to device tensors once, runs every
-  internal step device-resident and converts the result back once, so the
-  transfer cost is amortised per kernel call rather than per array op.  They
-  make **no** bit-identity promise (different BLAS, different reduction
-  orders); the golden-trace harness is the guard rail if they are ever used
-  for frozen workloads.
 
-None of the optional libraries is required: creating a backend whose library
-is missing falls back to :class:`NumpyBackend` with a warning logged **once
-per process** and the reason recorded on the returned instance
+Numba is optional: creating the numba backend without the library falls
+back to :class:`NumpyBackend` with a warning logged **once per process** and
+the reason recorded on the returned instance
 (:attr:`NumpyBackend.fallback_from` / :attr:`NumpyBackend.fallback_reason`),
 so ``REPRO_BACKEND=numba`` on a numpy-only host degrades gracefully and
 ``python -m repro backends`` can explain why.
@@ -67,7 +59,7 @@ logger = logging.getLogger(__name__)
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: Names accepted by :func:`create_backend` / ``ExperimentConfig.backend``.
-KNOWN_BACKENDS = ("numpy", "numba", "torch", "cupy")
+KNOWN_BACKENDS = ("numpy", "numba")
 
 #: The routed hot-spot kernels every backend may override.
 HOT_KERNELS = (
@@ -122,11 +114,9 @@ class NumpyBackend:
     """The reference backend: a minimal array-API surface over numpy.
 
     The protocol is deliberately small — the contractions, the im2col/col2im
-    data movement, the pooling and normalisation reductions and an RNG bridge
-    — because that is the complete set of numpy entry points the tensor
-    engine's hot paths go through.  Methods accept and return ``np.ndarray``;
-    accelerated subclasses may convert internally but must hand back numpy
-    arrays.
+    data movement and the pooling and normalisation reductions — because that
+    is the complete set of numpy entry points the tensor engine's hot paths
+    go through.  Methods accept and return ``np.ndarray``.
     """
 
     name = "numpy"
@@ -158,30 +148,6 @@ class NumpyBackend:
 
     def take(self, a: np.ndarray, indices: np.ndarray, axis: Optional[int] = None) -> np.ndarray:
         return np.take(a, indices, axis=axis)
-
-    # ------------------------------------------------------------------ #
-    # Reductions (numpy ufunc reductions: the bit-identity reference)
-    # ------------------------------------------------------------------ #
-    def sum(self, a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return np.sum(a, axis=axis, keepdims=keepdims)
-
-    def mean(self, a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return np.mean(a, axis=axis, keepdims=keepdims)
-
-    def amax(self, a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return np.amax(a, axis=axis, keepdims=keepdims)
-
-    def amin(self, a: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return np.amin(a, axis=axis, keepdims=keepdims)
-
-    # ------------------------------------------------------------------ #
-    # RNG bridge
-    # ------------------------------------------------------------------ #
-    def rng(self, seed: Optional[int] = None) -> np.random.Generator:
-        """A numpy ``Generator``: all backends share numpy's RNG streams so
-        stochastic codecs and dropout draw identical sequences regardless of
-        which backend executes the contractions."""
-        return np.random.default_rng(seed)
 
     # ------------------------------------------------------------------ #
     # Hot-spot kernels (the seams accelerated backends override)
@@ -732,208 +698,14 @@ class NumbaBackend(NumpyBackend):
         return self._norm_backward(grad, w, x_hat, inv_std, axes)
 
 
-class TorchBackend(NumpyBackend):
-    """Adapter over an installed torch routing the full conv/pool/norm set.
-
-    Experimental: torch's BLAS and reduction orders differ from numpy's, so
-    this backend makes no bit-identity promise — the golden-trace harness
-    (with a small ``--rtol``) is the guard rail.  Each kernel converts its
-    numpy operands to CPU tensors once, runs every internal step on torch and
-    converts back once, so the conversion overhead is per kernel call, not per
-    array op.  Absent torch falls back to numpy.
-    """
-
-    name = "torch"
-
-    def __init__(self) -> None:
-        import torch  # raises ImportError when unavailable
-
-        self._torch = torch
-
-    def kernel_status(self) -> Dict[str, str]:
-        status = super().kernel_status()
-        status.update({kernel: "torch (no bit-identity promise)" for kernel in HOT_KERNELS})
-        return status
-
-    def _to(self, a: np.ndarray):
-        return self._torch.from_numpy(np.ascontiguousarray(a))
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._torch.matmul(self._to(a), self._to(b)).numpy()
-
-    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        return self._torch.einsum(subscripts, *[self._to(op) for op in operands]).numpy()
-
-    def im2col_gather(self, padded, kernel, stride, out_hw):
-        torch = self._torch
-        n, c = padded.shape[0], padded.shape[1]
-        kh, kw = kernel
-        sh, sw = stride
-        out_h, out_w = out_hw
-        t = self._to(padded)
-        s = t.stride()
-        view = t.as_strided(
-            (n, c, out_h, out_w, kh, kw), (s[0], s[1], s[2] * sh, s[3] * sw, s[2], s[3])
-        )
-        cols = view.permute(0, 2, 3, 1, 4, 5).reshape(n, out_h * out_w, c * kh * kw)
-        return cols.contiguous().numpy()
-
-    def conv_weight_grad(self, grad_mat, cols):
-        torch = self._torch
-        g = self._to(grad_mat)
-        c = self._to(cols)
-        if grad_mat.ndim == 4:
-            world, n, length, o = grad_mat.shape
-            gm = g.permute(0, 3, 1, 2).reshape(world, o, n * length)
-            return torch.matmul(gm, c.reshape(world, n * length, -1)).numpy()
-        n, length, o = grad_mat.shape
-        gm = g.permute(2, 0, 1).reshape(o, n * length)
-        return torch.matmul(gm, c.reshape(n * length, -1)).numpy()
-
-    def col2im_scatter_add(self, padded, cols, sh, sw, out_h, out_w):
-        # from_numpy shares memory with the caller's output buffer, so the
-        # in-place strided additions land directly in the numpy array.
-        t_padded = self._torch.from_numpy(padded)
-        t_cols = self._to(cols)
-        kh, kw = cols.shape[0], cols.shape[1]
-        for i in range(kh):
-            for j in range(kw):
-                t_padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += t_cols[i, j]
-
-    def pool_reduce(self, cols, op):
-        t = self._to(cols)
-        if op == "max":
-            values, argmax = t.max(dim=2)
-            return values.numpy(), argmax.numpy()
-        if op == "mean":
-            return t.mean(dim=2).numpy(), None
-        raise ValueError(f"unknown pool_reduce op {op!r}; expected 'max' or 'mean'")
-
-    def fused_norm_stats(self, data, axes, eps):
-        torch = self._torch
-        d = self._to(data)
-        mean = d.mean(dim=tuple(axes), keepdim=True)
-        centered = d - mean
-        var = (centered * centered).mean(dim=tuple(axes), keepdim=True)
-        inv_std = 1.0 / torch.sqrt(var + eps)
-        x_hat = centered * inv_std
-        return mean.numpy(), var.numpy(), inv_std.numpy(), x_hat.numpy()
-
-    def fused_norm_backward(self, grad, w, x_hat, inv_std, axes):
-        g = self._to(grad)
-        g_hat = g * self._to(np.broadcast_to(w, grad.shape))
-        xh = self._to(x_hat)
-        mean_g = g_hat.mean(dim=tuple(axes), keepdim=True)
-        mean_gx = (g_hat * xh).mean(dim=tuple(axes), keepdim=True)
-        return (self._to(inv_std) * (g_hat - mean_g - xh * mean_gx)).numpy()
-
-
-class CupyBackend(NumpyBackend):
-    """Adapter over an installed cupy routing the full conv/pool/norm set.
-
-    Experimental, same caveats as :class:`TorchBackend`; operands cross the
-    device boundary once per kernel call (in and out), so it only pays off for
-    large kernels where the GPU work dwarfs the transfers.
-    """
-
-    name = "cupy"
-
-    def __init__(self) -> None:
-        import cupy  # raises ImportError when unavailable
-
-        self._cupy = cupy
-
-    def kernel_status(self) -> Dict[str, str]:
-        status = super().kernel_status()
-        status.update({kernel: "cupy (no bit-identity promise)" for kernel in HOT_KERNELS})
-        return status
-
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        cp = self._cupy
-        return cp.asnumpy(cp.matmul(cp.asarray(a), cp.asarray(b)))
-
-    def einsum(self, subscripts: str, *operands: np.ndarray) -> np.ndarray:
-        cp = self._cupy
-        return cp.asnumpy(cp.einsum(subscripts, *[cp.asarray(op) for op in operands]))
-
-    def im2col_gather(self, padded, kernel, stride, out_hw):
-        cp = self._cupy
-        n, c = padded.shape[0], padded.shape[1]
-        kh, kw = kernel
-        sh, sw = stride
-        out_h, out_w = out_hw
-        d = cp.asarray(np.ascontiguousarray(padded))
-        strides = d.strides
-        view = cp.lib.stride_tricks.as_strided(
-            d,
-            shape=(n, c, out_h, out_w, kh, kw),
-            strides=(strides[0], strides[1], strides[2] * sh, strides[3] * sw, strides[2], strides[3]),
-        )
-        cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n, out_h * out_w, c * kh * kw)
-        return cp.asnumpy(cp.ascontiguousarray(cols))
-
-    def conv_weight_grad(self, grad_mat, cols):
-        cp = self._cupy
-        g = cp.asarray(grad_mat)
-        c = cp.asarray(cols)
-        if grad_mat.ndim == 4:
-            world, n, length, o = grad_mat.shape
-            gm = g.transpose(0, 3, 1, 2).reshape(world, o, n * length)
-            return cp.asnumpy(cp.matmul(gm, c.reshape(world, n * length, -1)))
-        n, length, o = grad_mat.shape
-        gm = g.transpose(2, 0, 1).reshape(o, n * length)
-        return cp.asnumpy(cp.matmul(gm, c.reshape(n * length, -1)))
-
-    def col2im_scatter_add(self, padded, cols, sh, sw, out_h, out_w):
-        cp = self._cupy
-        d_padded = cp.asarray(padded)
-        d_cols = cp.asarray(cols)
-        kh, kw = cols.shape[0], cols.shape[1]
-        for i in range(kh):
-            for j in range(kw):
-                d_padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += d_cols[i, j]
-        padded[...] = cp.asnumpy(d_padded)
-
-    def pool_reduce(self, cols, op):
-        cp = self._cupy
-        d = cp.asarray(cols)
-        if op == "max":
-            argmax = d.argmax(axis=2)
-            values = cp.take_along_axis(d, argmax[..., None], axis=2)[..., 0]
-            return cp.asnumpy(values), cp.asnumpy(argmax)
-        if op == "mean":
-            return cp.asnumpy(d.mean(axis=2)), None
-        raise ValueError(f"unknown pool_reduce op {op!r}; expected 'max' or 'mean'")
-
-    def fused_norm_stats(self, data, axes, eps):
-        cp = self._cupy
-        d = cp.asarray(data)
-        mean = d.mean(axis=axes, keepdims=True)
-        centered = d - mean
-        var = (centered * centered).mean(axis=axes, keepdims=True)
-        inv_std = 1.0 / cp.sqrt(var + eps)
-        x_hat = centered * inv_std
-        return cp.asnumpy(mean), cp.asnumpy(var), cp.asnumpy(inv_std), cp.asnumpy(x_hat)
-
-    def fused_norm_backward(self, grad, w, x_hat, inv_std, axes):
-        cp = self._cupy
-        g_hat = cp.asarray(grad) * cp.asarray(w)
-        xh = cp.asarray(x_hat)
-        mean_g = g_hat.mean(axis=axes, keepdims=True)
-        mean_gx = (g_hat * xh).mean(axis=axes, keepdims=True)
-        return cp.asnumpy(cp.asarray(inv_std) * (g_hat - mean_g - xh * mean_gx))
-
-
 #: name -> backend class
 _BACKEND_CLASSES = {
     "numpy": NumpyBackend,
     "numba": NumbaBackend,
-    "torch": TorchBackend,
-    "cupy": CupyBackend,
 }
 
 #: name -> module that must be importable for the backend to work.
-_BACKEND_REQUIRES = {"numba": "numba", "torch": "torch", "cupy": "cupy"}
+_BACKEND_REQUIRES = {"numba": "numba"}
 
 _ACTIVE: Optional[NumpyBackend] = None
 
@@ -1142,8 +914,6 @@ def describe_backends(probe: bool = True) -> List[BackendInfo]:
         detail = "all kernels active"
         if degraded:
             detail = f"kernels rejected by probe: {', '.join(degraded)}"
-        elif name in ("torch", "cupy"):
-            detail = "routed (no bit-identity promise)"
         infos.append(
             BackendInfo(
                 name=name, installed=True, status="available", detail=detail, kernels=kernels

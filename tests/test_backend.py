@@ -3,9 +3,8 @@
 The backend seam has one hard contract: environment differences (which
 optional libraries happen to be installed, what ``REPRO_BACKEND`` says)
 change *speed*, never *behaviour*.  These tests pin the selection machinery
-— numpy default, loud failure on typos, warn-and-degrade on missing
-libraries, scoped overrides — and, when numba is installed, bit-identity of
-the JIT kernels against the numpy reference.
+— numpy default, loud failure on typos, scoped overrides — and, when numba
+is installed, bit-identity of the JIT kernels against the numpy reference.
 """
 
 from __future__ import annotations
@@ -37,29 +36,9 @@ class TestSelection:
         assert set(B.available_backends()) <= set(B.KNOWN_BACKENDS)
 
     def test_unknown_name_raises(self):
-        with pytest.raises(KeyError, match="unknown backend"):
-            B.create_backend("fortran")
-
-    def test_missing_library_falls_back_with_warning(self, monkeypatch, caplog):
-        # Pretend numba's import fails even if the library is present.  The
-        # warning fires once per process per backend, so reset the dedup set.
-        import builtins
-
-        real_import = builtins.__import__
-
-        def fake_import(name, *args, **kwargs):
-            if name == "numba" or name.startswith("numba."):
-                raise ImportError("numba is not installed")
-            return real_import(name, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "__import__", fake_import)
-        monkeypatch.setattr(B, "_FALLBACK_WARNED", set())
-        with caplog.at_level(logging.WARNING, logger="repro.tensorlib.backend"):
-            backend = B.create_backend("numba")
-        assert type(backend) is B.NumpyBackend
-        assert any("falling back to numpy" in record.message for record in caplog.records)
-        assert backend.fallback_from == "numba"
-        assert "not installed" in backend.fallback_reason
+        for name in ("fortran", "cupy"):
+            with pytest.raises(KeyError, match="unknown backend"):
+                B.create_backend(name)
 
     def test_env_var_resolution(self, monkeypatch):
         monkeypatch.setenv(B.BACKEND_ENV_VAR, "numpy")
@@ -67,11 +46,13 @@ class TestSelection:
         assert type(active) is B.NumpyBackend
 
     def test_env_var_unknown_name_warns_and_degrades(self, monkeypatch, caplog):
-        monkeypatch.setenv(B.BACKEND_ENV_VAR, "fortran")
-        with caplog.at_level(logging.WARNING, logger="repro.tensorlib.backend"):
-            active = B.set_backend(None)
-        assert type(active) is B.NumpyBackend
-        assert any("unknown backend" in record.message for record in caplog.records)
+        for name in ("fortran", "torch"):
+            caplog.clear()
+            monkeypatch.setenv(B.BACKEND_ENV_VAR, name)
+            with caplog.at_level(logging.WARNING, logger="repro.tensorlib.backend"):
+                active = B.set_backend(None)
+            assert type(active) is B.NumpyBackend
+            assert any("unknown backend" in record.message for record in caplog.records)
 
     def test_set_backend_accepts_instance(self):
         instance = B.NumpyBackend()
@@ -100,10 +81,7 @@ class TestNumpyReference:
         b = rng.standard_normal((4, 5))
         np.testing.assert_array_equal(backend.matmul(a, b), a @ b)
         np.testing.assert_array_equal(backend.einsum("ij,jk->ik", a, b), np.einsum("ij,jk->ik", a, b))
-        np.testing.assert_array_equal(backend.sum(a, axis=0), a.sum(axis=0))
-        np.testing.assert_array_equal(backend.mean(a, axis=1, keepdims=True), a.mean(axis=1, keepdims=True))
-        np.testing.assert_array_equal(backend.amax(a), np.amax(a))
-        np.testing.assert_array_equal(backend.amin(a, axis=0), np.amin(a, axis=0))
+        np.testing.assert_array_equal(backend.take(a, [2, 0], axis=1), a[:, [2, 0]])
         np.testing.assert_array_equal(
             backend.pad(a, ((1, 1), (0, 0))), np.pad(a, ((1, 1), (0, 0)))
         )

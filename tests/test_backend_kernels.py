@@ -9,9 +9,9 @@ Three layers of guarantees:
 * every conv/pool/norm call site in ``functional.py``/``nn/layers.py`` —
   looped *and* world-batched — actually routes through ``get_backend()``
   (a recording backend proves it);
-* accelerated backends match the reference: numba bit-identically (float64
-  and float32), torch within float tolerance.  Both skip cleanly when the
-  library is absent — behaviour must never depend on what is installed.
+* the numba backend matches the reference bit-identically (float64 and
+  float32), and skips cleanly when numba is absent — behaviour must never
+  depend on what is installed.
 
 The selection machinery itself (warn-once degradation, the shared cache, the
 ``backends`` CLI) is covered at the bottom.
@@ -70,31 +70,22 @@ def composite_norm_backward(grad, w, x_hat, inv_std, axes):
 
 
 def _parity_backends():
-    """(label, backend, exact) triples to run kernel parity against.
+    """(label, backend) pairs to run bit-identical kernel parity against.
 
-    numpy always; numba (bit-identical contract) and torch (float tolerance)
-    only when importable and not degraded by their probes.
+    numpy always; numba only when importable and not degraded by its probes.
     """
-    pairs = [("numpy", B.NumpyBackend(), True)]
-    for name, exact in (("numba", True), ("torch", False)):
-        try:
-            __import__(name)
-        except ImportError:
-            continue
-        backend = B.shared_backend(name)
-        if backend.name == name:
-            pairs.append((name, backend, exact))
+    pairs = [("numpy", B.NumpyBackend())]
+    try:
+        import numba  # noqa: F401
+    except ImportError:
+        return pairs
+    backend = B.shared_backend("numba")
+    if backend.name == "numba":
+        pairs.append(("numba", backend))
     return pairs
 
 
 PARITY_BACKENDS = _parity_backends()
-
-
-def _assert_matches(label, exact, actual, expected):
-    if exact:
-        assert np.array_equal(actual, expected), label
-    else:
-        np.testing.assert_allclose(actual, expected, rtol=1e-6, atol=1e-12, err_msg=label)
 
 
 # --------------------------------------------------------------------------- #
@@ -124,13 +115,9 @@ def test_im2col_gather_parity(dtype, stride, padding, kernel, n, c, seed):
         (w + 2 * pw - kw) // stride[1] + 1,
     )
     expected = naive_im2col(padded, kernel, stride, out_hw)
-    for label, backend, exact in PARITY_BACKENDS:
-        _assert_matches(
-            f"im2col/{label}",
-            exact,
-            backend.im2col_gather(padded, kernel, stride, out_hw),
-            expected,
-        )
+    for label, backend in PARITY_BACKENDS:
+        actual = backend.im2col_gather(padded, kernel, stride, out_hw)
+        assert np.array_equal(actual, expected), f"im2col/{label}"
     # The precomputed index plan (what the numba gather executes) must
     # describe the same data movement — checked on every host, numba or not.
     plan = B._gather_index_plan(c, padded.shape[2], padded.shape[3], kernel, stride, out_hw)
@@ -152,12 +139,12 @@ def test_pool_reduce_parity(dtype, k, flat, length, seed):
     expected_max = cols.max(axis=2)
     expected_arg = cols.argmax(axis=2)
     expected_mean = cols.mean(axis=2)
-    for label, backend, exact in PARITY_BACKENDS:
+    for label, backend in PARITY_BACKENDS:
         values, argmax = backend.pool_reduce(cols, "max")
-        _assert_matches(f"pool-max/{label}", exact, values, expected_max)
+        assert np.array_equal(values, expected_max), f"pool-max/{label}"
         assert np.array_equal(argmax, expected_arg), f"pool-argmax/{label}"
         values, none = backend.pool_reduce(cols, "mean")
-        _assert_matches(f"pool-mean/{label}", exact, values, expected_mean)
+        assert np.array_equal(values, expected_mean), f"pool-mean/{label}"
         assert none is None
 
 
@@ -177,13 +164,13 @@ def test_fused_norm_last_axis_parity(dtype, dim, rows, seed):
     eps = 1e-5
     expected = composite_norm_stats(data, axes, eps)
     expected_gx = composite_norm_backward(grad, w, expected[3], expected[2], axes)
-    for label, backend, exact in PARITY_BACKENDS:
+    for label, backend in PARITY_BACKENDS:
         stats = backend.fused_norm_stats(data, axes, eps)
         for field, actual, ref in zip(("mean", "var", "inv_std", "x_hat"), stats, expected):
             assert actual.shape == ref.shape, f"norm-{field}/{label}"
-            _assert_matches(f"norm-{field}/{label}", exact, actual, ref)
+            assert np.array_equal(actual, ref), f"norm-{field}/{label}"
         gx = backend.fused_norm_backward(grad, w, stats[3], stats[2], axes)
-        _assert_matches(f"norm-backward/{label}", exact, gx, expected_gx)
+        assert np.array_equal(gx, expected_gx), f"norm-backward/{label}"
 
 
 def test_fused_norm_batchnorm_axes_parity():
@@ -195,12 +182,12 @@ def test_fused_norm_batchnorm_axes_parity():
     axes = (0, 2, 3)
     expected = composite_norm_stats(data, axes, 1e-5)
     expected_gx = composite_norm_backward(grad, w, expected[3], expected[2], axes)
-    for label, backend, exact in PARITY_BACKENDS:
+    for label, backend in PARITY_BACKENDS:
         stats = backend.fused_norm_stats(data, axes, 1e-5)
         for actual, ref in zip(stats, expected):
-            _assert_matches(f"bn-stats/{label}", exact, actual, ref)
+            assert np.array_equal(actual, ref), f"bn-stats/{label}"
         gx = backend.fused_norm_backward(grad, w, stats[3], stats[2], axes)
-        _assert_matches(f"bn-backward/{label}", exact, gx, expected_gx)
+        assert np.array_equal(gx, expected_gx), f"bn-backward/{label}"
 
 
 def test_pool_reduce_rejects_unknown_op():
@@ -385,7 +372,7 @@ class TestNumbaKernels:
         expected = golden.load_fixture("conv-all-reduce")
         with B.use_backend("numba"):
             actual = golden.compute_trace(golden.GOLDEN_METHODS["conv-all-reduce"])
-        diffs = golden.compare_traces(expected, actual, rtol=0.0)
+        diffs = golden.compare_traces(expected, actual)
         assert not diffs, golden.format_diff("conv-all-reduce (numba)", diffs)
 
 
@@ -407,29 +394,19 @@ def _block_import(monkeypatch, module: str):
 
 class TestDegradation:
     def test_fallback_warns_exactly_once_per_process(self, monkeypatch, caplog):
-        _block_import(monkeypatch, "torch")
+        # Pretend numba's import fails even if the library is present.
+        _block_import(monkeypatch, "numba")
         monkeypatch.setattr(B, "_FALLBACK_WARNED", set())
         with caplog.at_level(logging.WARNING, logger="repro.tensorlib.backend"):
-            first = B.create_backend("torch")
-            second = B.create_backend("torch")
+            first = B.create_backend("numba")
+            second = B.create_backend("numba")
         warnings = [r for r in caplog.records if "falling back to numpy" in r.message]
         assert len(warnings) == 1
         # ... but the reason is recorded on every degraded instance.
         for backend in (first, second):
             assert type(backend) is B.NumpyBackend
-            assert backend.fallback_from == "torch"
+            assert backend.fallback_from == "numba"
             assert "not installed" in backend.fallback_reason
-
-    def test_distinct_backends_each_get_their_warning(self, monkeypatch, caplog):
-        _block_import(monkeypatch, "torch")
-        _block_import(monkeypatch, "cupy")
-        monkeypatch.setattr(B, "_FALLBACK_WARNED", set())
-        with caplog.at_level(logging.WARNING, logger="repro.tensorlib.backend"):
-            B.create_backend("torch")
-            B.create_backend("cupy")
-            B.create_backend("torch")
-        warnings = [r for r in caplog.records if "falling back to numpy" in r.message]
-        assert len(warnings) == 2
 
     def test_shared_backend_caches_per_name(self, monkeypatch):
         monkeypatch.setattr(B, "_SHARED", {})
@@ -448,11 +425,9 @@ class TestDescribeBackends:
         infos = {info.name: info for info in B.describe_backends(probe=False)}
         assert set(infos) == set(B.KNOWN_BACKENDS)
         assert infos["numpy"].status == "reference"
-        for name in ("numba", "torch", "cupy"):
-            info = infos[name]
-            if not info.installed:
-                assert info.status == "degraded-to-numpy"
-                assert "not installed" in info.detail
+        if not infos["numba"].installed:
+            assert infos["numba"].status == "degraded-to-numpy"
+            assert "not installed" in infos["numba"].detail
 
     def test_probe_mode_reports_kernels_for_installed_backends(self):
         for info in B.describe_backends(probe=True):

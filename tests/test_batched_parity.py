@@ -239,6 +239,8 @@ class TestExperimentParity:
             ExperimentConfig(model="mlp", execution="turbo")
         with pytest.raises(ValueError, match="backend"):
             ExperimentConfig(model="mlp", backend="fortran")
+        with pytest.raises(ValueError, match="numba.*numpy"):
+            ExperimentConfig(model="mlp", backend="torch")
 
 
 class TestArenaWriteWorld:
