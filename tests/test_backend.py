@@ -40,6 +40,27 @@ class TestSelection:
             with pytest.raises(KeyError, match="unknown backend"):
                 B.create_backend(name)
 
+    def test_missing_library_falls_back_with_warning(self, monkeypatch, caplog):
+        # Pretend numba's import fails even if the library is present.  The
+        # warning fires once per process per backend, so reset the dedup set.
+        import builtins
+
+        real_import = builtins.__import__
+
+        def fake_import(name, *args, **kwargs):
+            if name == "numba" or name.startswith("numba."):
+                raise ImportError("numba is not installed")
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", fake_import)
+        monkeypatch.setattr(B, "_FALLBACK_WARNED", set())
+        with caplog.at_level(logging.WARNING, logger="repro.tensorlib.backend"):
+            backend = B.create_backend("numba")
+        assert type(backend) is B.NumpyBackend
+        assert any("falling back to numpy" in record.message for record in caplog.records)
+        assert backend.fallback_from == "numba"
+        assert "not installed" in backend.fallback_reason
+
     def test_env_var_resolution(self, monkeypatch):
         monkeypatch.setenv(B.BACKEND_ENV_VAR, "numpy")
         active = B.set_backend(None)
