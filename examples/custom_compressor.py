@@ -45,7 +45,7 @@ from repro.ddp import DistributedDataParallel
 from repro.nn import SGD
 from repro.nn.models import build_model
 from repro.pactrain import MaskTracker
-from repro.pruning import apply_gse, magnitude_prune
+from repro.pruning import magnitude_prune
 from repro.tensorlib import functional as F
 
 WORLD_SIZE = 4
@@ -105,7 +105,8 @@ def main() -> None:
             losses = []
             for rank, batch in enumerate(batches):
                 loss, grads = ddp.compute_local_gradients(batch, F.cross_entropy)
-                ddp.stage_rank_gradients(rank, apply_gse(model, mask, grads=grads))
+                # GSE (Eq. 2) is the staging copy itself: grad * keep lands in the arena.
+                ddp.stage_rank_gradients(rank, grads, gse_mask=mask)
                 losses.append(loss)
 
             # Peek at what a comm hook sees: flat, nameless bucket gradients

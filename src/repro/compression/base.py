@@ -159,10 +159,11 @@ class CodecCompressor(Compressor):
     gradient ``grad + residual`` and, after encoding, the residual is rewritten
     to ``input - decode(own payload)``, so every coordinate a lossy compressor
     drops is retransmitted once the accumulated error grows large enough
-    (EF-SGD, Karimireddy et al., 2019).  The residual is written in place over
-    the fresh compensated matrix, so it is owned by the compressor — never a
-    view into the DDP gradient arena — and survives arena staging and bucket
-    reuse across iterations.
+    (EF-SGD, Karimireddy et al., 2019).  The compensated matrix and the
+    residual share one buffer per bucket, rewritten in place every step, so
+    the residual is owned by the compressor — never a view into the DDP
+    gradient arena — and survives arena staging and bucket reuse across
+    iterations.
 
     Subclasses may override :meth:`_pipeline_for` to pick the pipeline
     adaptively per bucket/iteration (PacTrain's stable/fallback switch).
@@ -344,9 +345,12 @@ class CodecCompressor(Compressor):
     def _compensated(self, bucket: GradBucket) -> np.ndarray:
         """The ``(world, numel)`` matrix to encode: ``grad + residual`` under EF.
 
-        The compensated sum is a fresh matrix — it must not alias the arena
-        (whose rows are rewritten next step) — and :meth:`_keep_residual`
-        later rewrites it in place into the next residual.
+        The compensated sum is written over the bucket's residual buffer (IEEE
+        addition commutes, so this is the same sum as a fresh
+        ``grad + residual``), which :meth:`_keep_residual` then rewrites in
+        place into the next residual: one buffer per bucket for the whole
+        run, owned by the compressor and never aliasing the arena (whose rows
+        are rewritten next step).
         """
         matrix = bucket.matrix
         if not self.error_feedback:
@@ -354,7 +358,7 @@ class CodecCompressor(Compressor):
         residual = self._residuals.get(bucket.index)
         if residual is None or residual.shape != matrix.shape:
             residual = np.zeros(matrix.shape, dtype=matrix.dtype)
-        return matrix + residual
+        return np.add(matrix, residual, out=residual)
 
     def _keep_residual(self, bucket_index: int, matrix: np.ndarray, own: WirePayload) -> None:
         """Turn the compensated ``matrix`` into ``input - decode(own payload)``.

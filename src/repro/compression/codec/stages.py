@@ -241,16 +241,22 @@ class TopK(Codec):
         numel = matrix.shape[1]
         k = max(1, int(round(numel * self.ratio)))
 
+        residual = None
         if self.error_feedback:
             residual = self._residuals.get(ctx.bucket_index)
             if residual is not None and residual.shape == matrix.shape:
-                matrix = matrix + residual
+                # Compensate in the residual's own buffer: the same sum as a
+                # fresh ``matrix + residual`` (IEEE addition commutes).
+                matrix = np.add(matrix, residual, out=residual)
+            else:
+                residual = None
 
         indices = batched_top_k_indices(matrix, k)
         values = np.take_along_axis(matrix, indices, axis=1)
 
         if self.error_feedback:
-            residual = matrix.copy()
+            if residual is None:
+                residual = matrix.copy()  # the input is not ours to overwrite
             np.put_along_axis(residual, indices, 0.0, axis=1)
             self._residuals[ctx.bucket_index] = residual
 

@@ -1,14 +1,15 @@
 """Preallocated per-bucket gradient arenas.
 
-The seed synchronisation path re-flattened every rank's gradients into fresh
-arrays each step (``bucket.flatten`` allocated a ``numel``-sized buffer per
-rank per bucket per iteration) and the codec stages then *stacked* those lists
-back into ``(world, numel)`` matrices.  A :class:`GradientArena` removes both
-copies: it owns one ``(world_size, numel)`` matrix per bucket, allocated once
-for the lifetime of the DDP wrapper.  Ranks write their gradients directly
-into their row's slices, communication hooks see the rows as their flat
-buffers, and matrix-shaped consumers (batched top-k, DGC) read the 2-D array
-without re-stacking.
+A :class:`GradientArena` owns one ``(world_size, numel)`` matrix per bucket,
+allocated once for the lifetime of the DDP wrapper.  Each step's gradients
+land in it with exactly one copy: staging views each parameter's slice of the
+matrix in the gradient's own shape and copies the gradient (or stack of
+per-rank gradients) straight into that view — no flatten buffer, no reshaped
+temporary.  With a gradient sparsity enforcement (GSE) mask the copy is the
+masking multiply itself, so the masked gradients are never materialised
+anywhere else.  Communication hooks see the rows as their flat buffers, and
+matrix-shaped consumers (batched top-k, DGC) read the 2-D array without
+re-stacking.
 
 Aliasing contract: every slice of every row is either written or explicitly
 zeroed on each staging pass, so one iteration's gradients can never leak into
@@ -17,7 +18,7 @@ the next through buffer reuse (covered by the aliasing-safety tests).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -52,12 +53,19 @@ class GradientArena:
         return self._matrices[bucket_index][rank]
 
     # ------------------------------------------------------------------ #
-    def write_rank(self, rank: int, grads_by_name: Dict[str, np.ndarray]) -> None:
+    def write_rank(
+        self,
+        rank: int,
+        grads_by_name: Dict[str, np.ndarray],
+        keep: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> None:
         """Stage one rank's named gradients into its row of every bucket.
 
-        Slices whose parameter has no gradient this iteration are zeroed (the
-        DDP convention for unused parameters), which together with the
-        write-everything rule keeps rows free of stale data from prior steps.
+        ``keep`` optionally maps parameter names to GSE keep-masks; a masked
+        gradient lands as ``grad * keep``.  Slices whose parameter has no
+        gradient this iteration are zeroed (the DDP convention for unused
+        parameters), which together with the write-everything rule keeps rows
+        free of stale data from prior steps.
         """
         for bucket, matrix in zip(self._buckets, self._matrices):
             row = matrix[rank]
@@ -72,18 +80,22 @@ class GradientArena:
                         f"gradient for {piece.param_name!r} has {grad.size} elements, "
                         f"bucket slice expects {piece.numel}"
                     )
-                # One fused cast-and-copy into the arena row; no intermediate
-                # flatten buffer is allocated.
-                np.copyto(target, grad.reshape(-1), casting="unsafe")
+                _land(target.reshape(grad.shape, copy=False), grad, keep, piece.param_name)
 
-    def write_world(self, grads_by_name: Dict[str, np.ndarray]) -> None:
+    def write_world(
+        self,
+        grads_by_name: Dict[str, np.ndarray],
+        keep: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> None:
         """Stage every rank at once from ``(world_size, *shape)`` gradient stacks.
 
         The world-batched execution path produces one stacked array per
         parameter (the replica views' ``.grad``); each lands in its bucket
-        slice with a single vectorised copy instead of one copy per
-        ``(rank, parameter)`` pair.  Missing parameters zero their slices in
-        every row, preserving the write-everything aliasing contract.
+        slice with a single vectorised copy, whatever the stack's memory
+        layout, instead of one copy per ``(rank, parameter)`` pair.  ``keep``
+        masks are ``(*shape)`` and broadcast over the world axis.  Missing
+        parameters zero their slices in every row, preserving the
+        write-everything aliasing contract.
         """
         world = self.world_size
         for bucket, matrix in zip(self._buckets, self._matrices):
@@ -98,7 +110,7 @@ class GradientArena:
                         f"stacked gradient for {piece.param_name!r} has shape {grad.shape}, "
                         f"expected ({world}, ...) with {piece.numel} elements per rank"
                     )
-                np.copyto(target, grad.reshape(world, -1), casting="unsafe")
+                _land(target.reshape(grad.shape, copy=False), grad, keep, piece.param_name)
 
     def shares_memory_with(self, array: np.ndarray) -> bool:
         """Whether ``array`` aliases any arena matrix (aliasing guard)."""
@@ -109,3 +121,22 @@ class GradientArena:
             f"GradientArena(buckets={len(self._buckets)}, world_size={self.world_size}, "
             f"dtype={self.dtype.name}, nbytes={self.nbytes})"
         )
+
+
+def _land(
+    target: np.ndarray,
+    grad: np.ndarray,
+    keep: Optional[Mapping[str, np.ndarray]],
+    name: str,
+) -> None:
+    """Copy ``grad`` into the arena view ``target``, masked by ``keep[name]``.
+
+    ``target`` has ``grad``'s shape (``reshape(copy=False)`` raises rather
+    than hand back a temporary), so this is the only copy of the gradient.
+    The masked multiply is the one ``grad * keep`` would do, written in place.
+    """
+    mask = None if keep is None else keep.get(name)
+    if mask is None:
+        np.copyto(target, grad, casting="unsafe")
+    else:
+        np.multiply(grad, mask, out=target, casting="unsafe")

@@ -9,7 +9,8 @@ of ``world_size`` replicas on a single process:
 2. per-rank gradients are staged into a preallocated
    :class:`~repro.ddp.arena.GradientArena` — one reusable ``(world_size,
    numel)`` matrix per bucket (reverse parameter order, names erased — see
-   :mod:`repro.ddp.bucket`) — with no per-step flatten buffers;
+   :mod:`repro.ddp.bucket`) — with one copy per gradient, gradient sparsity
+   enforcement (GSE) folded into that copy, and no per-step flatten buffers;
 3. the registered communication hook aggregates each bucket through the
    process group, which records modeled time and bytes; the events each
    bucket's hook issued are drained from the group's log per step (the group
@@ -42,7 +43,6 @@ from repro.obs.tracer import TRACER
 from repro.ddp.hooks import CommHook, HookState, make_hook
 from repro.nn.batched import replica_views
 from repro.nn.module import Module
-from repro.pruning.gse import apply_gse
 from repro.pruning.mask import PruningMask
 from repro.tensorlib import Tensor
 from repro.tensorlib.dtypes import get_default_dtype
@@ -136,8 +136,11 @@ class DistributedDataParallel:
         self._active_group: Optional[ProcessGroup] = None
         #: The last world-batched step's gradient stacks, held until the next
         #: step has allocated its own.  Freed any earlier, their pages go back
-        #: to the OS and every step faults them in again (about 10x the minor
-        #: page faults on a 4-rank ResNet-18-mini cell).
+        #: to the OS and every step faults them in again: about 10x the minor
+        #: page faults on a 4-rank ResNet-18-mini cell, and on the 256-rank
+        #: MLP's three-cell pass (all-reduce, top-k, PacTrain) 16.6k-23.3k
+        #: minor faults per pass without the keep-alive against 12.0k-12.5k
+        #: with it (steady-state passes, three processes each).
         self._previous_grads: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
@@ -303,8 +306,8 @@ class DistributedDataParallel:
         *simulated* cluster, not host execution strategy.
 
         ``gse_mask`` (gradient sparsity enforcement) masks every rank's
-        gradients before they are staged.  The aggregated gradients are
-        written back into ``param.grad``; the optimiser step is the caller's.
+        gradients as they are staged.  The aggregated gradients are written
+        back into ``param.grad``; the optimiser step is the caller's.
         """
         if len(per_rank_batches) != self.world_size:
             raise ValueError(
@@ -318,11 +321,7 @@ class DistributedDataParallel:
                 images = np.stack([batch[0] for batch in per_rank_batches])
                 labels = np.stack([np.asarray(batch[1]) for batch in per_rank_batches])
                 per_rank_losses, grads = self.compute_batched_gradients((images, labels), loss_fn)
-                if gse_mask is not None:
-                    # Masks broadcast over the leading world axis: each rank's
-                    # slice is multiplied exactly as on the looped path.
-                    grads = apply_gse(self.model, gse_mask, grads=grads)
-                self.stage_world_gradients(grads)
+                self.stage_world_gradients(grads, gse_mask)
                 self._previous_grads = grads
             else:
                 per_rank_losses = []
@@ -332,9 +331,7 @@ class DistributedDataParallel:
                     loss_value, grads = self.compute_local_gradients(
                         per_rank_batches[rank], loss_fn, copy=False
                     )
-                    if gse_mask is not None:
-                        grads = apply_gse(self.model, gse_mask, grads=grads)
-                    self.stage_rank_gradients(rank, grads)
+                    self.stage_rank_gradients(rank, grads, gse_mask)
                     per_rank_losses.append(loss_value)
 
         with TRACER.span("train/sync", cat="train", iteration=self._hook_state.iteration):
@@ -346,13 +343,30 @@ class DistributedDataParallel:
     # ------------------------------------------------------------------ #
     # Gradient synchronisation
     # ------------------------------------------------------------------ #
-    def stage_rank_gradients(self, rank: int, grads_by_name: Dict[str, np.ndarray]) -> None:
-        """Write one rank's named gradients into its arena rows."""
-        self.arena.write_rank(rank, grads_by_name)
+    def stage_rank_gradients(
+        self,
+        rank: int,
+        grads_by_name: Dict[str, np.ndarray],
+        gse_mask: Optional[PruningMask] = None,
+    ) -> None:
+        """Write one rank's named gradients into its arena rows.
 
-    def stage_world_gradients(self, grads_by_name: Dict[str, np.ndarray]) -> None:
-        """Write ``(world, *shape)`` stacked gradients into all arena rows at once."""
-        self.arena.write_world(grads_by_name)
+        With ``gse_mask`` each gradient lands as ``grad * keep`` (Eq. (2)),
+        bit-identical to staging ``apply_gse(model, gse_mask, grads=...)``.
+        """
+        self.arena.write_rank(rank, grads_by_name, None if gse_mask is None else gse_mask.masks)
+
+    def stage_world_gradients(
+        self,
+        grads_by_name: Dict[str, np.ndarray],
+        gse_mask: Optional[PruningMask] = None,
+    ) -> None:
+        """Write ``(world, *shape)`` stacked gradients into all arena rows at once.
+
+        ``gse_mask`` broadcasts over the leading world axis, so each rank's
+        slice is masked exactly as on the per-rank path.
+        """
+        self.arena.write_world(grads_by_name, None if gse_mask is None else gse_mask.masks)
 
     def synchronize_staged(self) -> Tuple[Dict[str, np.ndarray], List[List[CollectiveEvent]]]:
         """Aggregate the gradients currently staged in the arena.

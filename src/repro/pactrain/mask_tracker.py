@@ -136,7 +136,7 @@ class MaskTracker:
         matrix = np.asarray(flat_gradients)
         if matrix.ndim == 0 or len(matrix) == 0:
             raise ValueError("update_from_rank_gradients needs at least one gradient")
-        return self.update(bucket_index, (np.abs(matrix) > atol).any(axis=0))
+        return self.update(bucket_index, _column_active(matrix, atol))
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -172,3 +172,30 @@ class MaskTracker:
     @property
     def total_updates(self) -> int:
         return self._updates
+
+
+#: Rows per block of :func:`_column_active`: bounds its float scratch to a
+#: few rows of the bucket instead of the whole ``(world, numel)`` matrix.
+_ROW_BLOCK = 16
+
+
+def _column_active(matrix: np.ndarray, atol: float) -> np.ndarray:
+    """``(np.abs(matrix) > atol).any(axis=0)`` without a full-size temporary.
+
+    Row blocks are tested into one reused scratch pair and OR-ed into a single
+    ``numel`` bool vector.  NaN compares false, so it stays inactive exactly
+    as in the whole-matrix expression.
+    """
+    rows = len(matrix)
+    block = min(rows, _ROW_BLOCK)
+    tail_shape = matrix.shape[1:]
+    magnitude = np.empty((block,) + tail_shape, dtype=np.abs(matrix[:0]).dtype)
+    above = np.empty(magnitude.shape, dtype=bool)
+    active = np.zeros(tail_shape, dtype=bool)
+    for start in range(0, rows, block):
+        chunk = matrix[start : start + block]
+        n = len(chunk)
+        np.abs(chunk, out=magnitude[:n])
+        np.greater(magnitude[:n], atol, out=above[:n])
+        np.logical_or(active, above[:n].any(axis=0), out=active)
+    return active

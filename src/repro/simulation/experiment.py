@@ -1047,11 +1047,11 @@ class _LocalSGD:
             # deterministic) but it takes no step.
             for rank in ddp.active_ranks:
                 replicas.load(rank)
-                loss_value, grads = ddp.compute_local_gradients(
+                loss_value, _ = ddp.compute_local_gradients(
                     batches[rank], F.cross_entropy, copy=False
                 )
                 if run.method.gse and mask is not None:
-                    ddp.apply_aggregated_gradients(apply_gse(model, mask, grads=grads))
+                    apply_gse(model, mask)
                 replicas.step(rank)
                 if mask is not None:
                     mask.apply_to_weights(model)

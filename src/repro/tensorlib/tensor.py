@@ -18,7 +18,10 @@ Performance notes (the engine sits under every training step):
   backward closure — when no input requires a gradient;
 * :meth:`Tensor._accumulate` takes ownership of gradient arrays its caller
   guarantees to be freshly allocated (``own=True``), avoiding a defensive copy
-  per graph node, and accumulates subsequent contributions in place.
+  per graph node, and accumulates subsequent contributions in place; a
+  transpose's backward lends its gradient buffer to its input as a read-only
+  view, so a transposed weight's gradient reaches its consumer without a copy
+  (a later contribution to either side copies on write).
 """
 
 from __future__ import annotations
@@ -223,8 +226,11 @@ class Tensor:
         ``own=True`` asserts that ``grad`` is a freshly allocated array no one
         else holds, letting the first accumulation adopt it instead of copying
         — pass-through gradients (views of the child's ``grad`` buffer, e.g.
-        from add/reshape backwards) must keep the default ``own=False``.
-        Follow-up contributions are added in place.
+        from add/reshape backwards) must keep the default ``own=False``; the
+        one exception is :meth:`transpose`, which lends its buffer and marks
+        both sides of the loan read-only.  Follow-up contributions are added
+        in place, or — copy on write — into a fresh array of the same layout
+        when this tensor's buffer is a read-only (lent) one.
         """
         if not self.requires_grad:
             return
@@ -235,8 +241,15 @@ class Tensor:
                 self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
                 if self.grad.shape != self.data.shape:
                     self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
-        else:
+        elif self.grad.flags.writeable:
             np.add(self.grad, grad, out=self.grad, casting="unsafe")
+        else:
+            # A buffer shared with a transpose (see :meth:`transpose`):
+            # accumulate into a fresh array of the same layout so the other
+            # side of the loan is left unchanged.
+            fresh = np.empty_like(self.grad)
+            np.add(self.grad, grad, out=fresh, casting="unsafe")
+            self.grad = fresh
 
     # ------------------------------------------------------------------ #
     # Backward pass
@@ -524,7 +537,16 @@ class Tensor:
         inverse = np.argsort(axes)
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.transpose(inverse))
+            # The input adopts this output's gradient buffer as a transposed
+            # view instead of copying it: reverse-topological order has run
+            # every contribution into ``grad`` already.  Both sides of the loan
+            # turn read-only, so a later contribution to either tensor lands
+            # in a fresh array instead of writing through to the other.
+            lent = grad.transpose(inverse)
+            self._accumulate(lent, own=True)
+            if self.grad is lent:
+                grad.flags.writeable = False
+                lent.flags.writeable = False
 
         return Tensor._attach(out_data, (self,), backward)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.comm import NetworkModel, ProcessGroup
 from repro.comm.network import MBPS
@@ -90,6 +92,26 @@ class TestMaskTracker:
         g2 = np.array([0.0, 0.0, 3.0, 1.0])
         state = tracker.update_from_rank_gradients(0, [g1, g2])
         np.testing.assert_array_equal(state.mask, [True, False, True, True])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            st.sampled_from([np.float64, np.float32]),
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+            elements=st.one_of(
+                st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-3, -1e-3]),
+                st.floats(-2.0, 2.0, width=32),
+            ),
+        ),
+        st.sampled_from([0.0, 1e-3, 0.5, -1.0, np.nan]),
+    )
+    def test_rank_gradient_union_matches_whole_matrix_expression(self, matrix, atol):
+        # Row blocks OR-ed into one vector == the whole-matrix temporary, NaN
+        # included (it compares false, so it stays inactive).
+        state = MaskTracker(stability_threshold=1).update_from_rank_gradients(0, matrix, atol)
+        expected = (np.abs(matrix) > atol).any(axis=0)
+        assert state.mask.dtype == expected.dtype
+        np.testing.assert_array_equal(state.mask, expected)
 
     def test_reset(self, rng):
         tracker = MaskTracker(stability_threshold=1)
